@@ -9,8 +9,8 @@ Subcommands:
 - ``generate``        expand roots from stdin into gold-format pairs
 
 Exit codes: 0 success; 2 rule conflicts found by ``rules-validate``;
-64 bad command line; 65 malformed input data (with line numbers);
-66 unreadable input file.
+64 bad command line; 65 malformed or undecodable input data (with line
+numbers where known); 66 unreadable input file.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .evaluation import (
     render,
     REPORT_FORMATS,
 )
+from .graphemes import _packaged_text
 from .paradigm import PARADIGMS, generate_forms
 from .rules import RuleError, RuleSet, builtin_rules, parse_rules, validate_rules
 from .stemmers import ENGINES
@@ -40,6 +41,7 @@ EX_DATA = 65
 EX_NOINPUT = 66
 
 _CONFLICT_MARKER = "duplicate rule"
+_BOM = "\ufeff"
 
 
 class _UsageError(Exception):
@@ -142,12 +144,25 @@ def _build_parser() -> _Parser:
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise _CliError(
             EX_NOINPUT, f"cannot read {path}: {exc.strerror or exc}"
         ) from None
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise _CliError(
+            EX_DATA, f"{path}: line {line}: not valid UTF-8 ({exc.reason})"
+        ) from None
+
+
+def _stdin_lines(stdin):
+    """Numbered lines of *stdin*, without a leading byte-order mark."""
+    for lineno, line in enumerate(stdin, start=1):
+        yield lineno, line.removeprefix(_BOM) if lineno == 1 else line
 
 
 def _load_rules(path: "str | None") -> RuleSet:
@@ -164,7 +179,7 @@ def _load_gold_entries(path, stdin):
     text = _read_file(path) if path is not None else stdin.read()
     source = path if path is not None else "<stdin>"
     try:
-        entries = load_gold(text)
+        entries = load_gold(text.removeprefix(_BOM))
     except GoldError as exc:
         raise _CliError(EX_DATA, f"{source}: {exc}") from None
     if not entries:
@@ -175,12 +190,17 @@ def _load_gold_entries(path, stdin):
 def _cmd_stem(args, stdin, stdout) -> int:
     rules = _load_rules(args.rules)
     engine = ENGINES[args.algo]
-    for raw in stdin:
+    for lineno, raw in _stdin_lines(stdin):
         token = raw.strip()
         if not token:
             print("", file=stdout)
             continue
-        result = engine(token, rules)
+        try:
+            result = engine(token, rules)
+        except ValueError as exc:  # a lone surrogate from a failed decode
+            raise _CliError(
+                EX_DATA, f"<stdin>: line {lineno}: not valid UTF-8 ({exc})"
+            ) from None
         print(f"{token}\t{result.stem.text}", file=stdout)
         if args.trace:
             for step in result.trace:
@@ -220,13 +240,7 @@ def _cmd_rules_validate(args, stdin, stdout) -> int:
     if args.path is not None:
         text = _read_file(args.path)
     else:
-        from importlib import resources
-
-        text = (
-            resources.files("tamilstem.data")
-            .joinpath("builtin_rules.tsv")
-            .read_text(encoding="utf-8")
-        )
+        text = _packaged_text("builtin_rules.tsv")
     problems = validate_rules(text)
     if not problems:
         count = len(parse_rules(text))
@@ -240,14 +254,16 @@ def _cmd_rules_validate(args, stdin, stdout) -> int:
 
 
 def _cmd_generate(args, stdin, stdout) -> int:
-    for lineno, raw in enumerate(stdin, start=1):
+    for lineno, raw in _stdin_lines(stdin):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             pairs = generate_forms(line, args.paradigm)
         except ValueError as exc:
-            raise _CliError(EX_DATA, f"line {lineno}: {exc}") from None
+            raise _CliError(
+                EX_DATA, f"<stdin>: line {lineno}: {exc}"
+            ) from None
         for surface, stem in pairs:
             print(f"{surface.text}\t{stem.text}", file=stdout)
     return EX_OK
@@ -275,9 +291,12 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         return EX_USAGE
     try:
         return _COMMANDS[args.command](args, stdin, stdout)
+    except UnicodeDecodeError as exc:  # from a stdin that decodes strictly
+        error = _CliError(EX_DATA, f"<stdin>: not valid UTF-8 ({exc.reason})")
     except _CliError as exc:
-        print(f"tamilstem: error: {exc}", file=stderr)
-        return exc.code
+        error = exc
+    print(f"tamilstem: error: {error}", file=stderr)
+    return error.code
 
 
 def entry() -> None:

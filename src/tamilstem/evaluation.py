@@ -20,10 +20,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from numbers import Rational
 
-from .graphemes import GraphemeWord, word
+from .graphemes import GraphemeWord, _as_word, _packaged_text, word
 from .paradigm import build_corpus
 from .rules import RuleSet, builtin_rules
 from .stemmers import light_stem, strip_stem
@@ -105,7 +104,10 @@ def load_gold(text: str) -> list[GoldEntry]:
         surface, stem = fields[0].strip(), fields[1].strip()
         if not surface or not stem:
             raise GoldError(lineno, "empty field")
-        entries.append(GoldEntry(word(surface), word(stem)))
+        try:
+            entries.append(GoldEntry(word(surface), word(stem)))
+        except ValueError as exc:  # a lone surrogate from a failed decode
+            raise GoldError(lineno, str(exc)) from None
     return entries
 
 
@@ -113,7 +115,7 @@ def dataset_stats(words: "list[GraphemeWord | str]") -> DatasetStats:
     """Total and distinct counts plus min/max word length in letters."""
     if not words:
         return DatasetStats(0, 0, 0, 0)
-    segmented = [w if isinstance(w, GraphemeWord) else word(w) for w in words]
+    segmented = [_as_word(w) for w in words]
     lengths = [len(w) for w in segmented]
     return DatasetStats(
         total_words=len(segmented),
@@ -217,17 +219,27 @@ def compare(
             if light_stem(w, rules).stem.text == stem:
                 correct_light += 1
         if position in boundaries:
-            n_unique = len(seen)
             rows.append(
-                EvalRow(
-                    n_words=position,
-                    n_unique=n_unique,
-                    n_correct_strip=correct_strip,
-                    n_correct_light=correct_light,
-                    acc_strip=accuracy(correct_strip, n_unique),
-                    acc_light=accuracy(correct_light, n_unique),
-                )
+                _row(position, len(seen), correct_strip, correct_light)
             )
+    return _report(rows)
+
+
+def _row(
+    n_words: int, n_unique: int, correct_strip: int, correct_light: int
+) -> EvalRow:
+    return EvalRow(
+        n_words=n_words,
+        n_unique=n_unique,
+        n_correct_strip=correct_strip,
+        n_correct_light=correct_light,
+        acc_strip=accuracy(correct_strip, n_unique),
+        acc_light=accuracy(correct_light, n_unique),
+    )
+
+
+def _report(rows: "list[EvalRow]") -> EvalReport:
+    """Rows plus the arithmetic mean of each engine's accuracies."""
     if not rows:
         return EvalReport((), None, None)
     avg_strip = sum(r.acc_strip for r in rows) / len(rows)
@@ -235,55 +247,25 @@ def compare(
     return EvalReport(tuple(rows), Fraction(avg_strip), Fraction(avg_light))
 
 
-def _render_table(report: EvalReport) -> str:
-    widths = (8, 8, 13, 9, 13, 9)
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(CSV_HEADER, widths)).rstrip()
-    ]
-    for row in report.rows:
-        cells = (
-            str(row.n_words),
-            str(row.n_unique),
-            str(row.n_correct_strip),
-            format_accuracy(row.acc_strip),
-            str(row.n_correct_light),
-            format_accuracy(row.acc_light),
-        )
-        lines.append(
-            "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-        )
-    if report.rows:
-        cells = (
-            "avg",
-            "",
-            "",
-            format_accuracy(report.avg_strip),
-            "",
-            format_accuracy(report.avg_light),
-        )
-        lines.append(
-            "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+def _fields(row: EvalRow, accuracy_text) -> tuple:
+    """One row in ``CSV_HEADER`` order, accuracies shown by *accuracy_text*."""
+    return (
+        row.n_words,
+        row.n_unique,
+        row.n_correct_strip,
+        accuracy_text(row.acc_strip),
+        row.n_correct_light,
+        accuracy_text(row.acc_light),
+    )
 
 
-def _render_csv(report: EvalReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+def _cells(report: EvalReport) -> "list[tuple[str, ...]]":
+    """Header, one line per row and the ``avg`` line, as display strings."""
+    lines = [CSV_HEADER]
     for row in report.rows:
-        writer.writerow(
-            (
-                row.n_words,
-                row.n_unique,
-                row.n_correct_strip,
-                format_accuracy(row.acc_strip),
-                row.n_correct_light,
-                format_accuracy(row.acc_light),
-            )
-        )
+        lines.append(tuple(map(str, _fields(row, format_accuracy))))
     if report.rows:
-        writer.writerow(
+        lines.append(
             (
                 "avg",
                 "",
@@ -293,6 +275,20 @@ def _render_csv(report: EvalReport) -> str:
                 format_accuracy(report.avg_light),
             )
         )
+    return lines
+
+
+def _render_table(report: EvalReport) -> str:
+    widths = (8, 8, 13, 9, 13, 9)
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
+        for cells in _cells(report)
+    )
+
+
+def _render_csv(report: EvalReport) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(_cells(report))
     return out.getvalue()
 
 
@@ -303,15 +299,7 @@ def _fraction_fields(value: Fraction | None) -> "str | None":
 def _render_json(report: EvalReport) -> str:
     payload = {
         "rows": [
-            {
-                "n_words": row.n_words,
-                "n_unique": row.n_unique,
-                "correct_strip": row.n_correct_strip,
-                "acc_strip": str(row.acc_strip),
-                "correct_light": row.n_correct_light,
-                "acc_light": str(row.acc_light),
-            }
-            for row in report.rows
+            dict(zip(CSV_HEADER, _fields(row, str))) for row in report.rows
         ],
         "avg_strip": _fraction_fields(report.avg_strip),
         "avg_light": _fraction_fields(report.avg_light),
@@ -361,23 +349,9 @@ def parse_report_csv(text: str) -> EvalReport:
             continue
         if record[0] == "avg":
             break
-        n_words, n_unique = int(record[0]), int(record[1])
-        correct_strip, correct_light = int(record[2]), int(record[4])
-        rows.append(
-            EvalRow(
-                n_words=n_words,
-                n_unique=n_unique,
-                n_correct_strip=correct_strip,
-                n_correct_light=correct_light,
-                acc_strip=accuracy(correct_strip, n_unique),
-                acc_light=accuracy(correct_light, n_unique),
-            )
-        )
-    if not rows:
-        return EvalReport((), None, None)
-    avg_strip = sum(r.acc_strip for r in rows) / len(rows)
-    avg_light = sum(r.acc_light for r in rows) / len(rows)
-    return EvalReport(tuple(rows), Fraction(avg_strip), Fraction(avg_light))
+        # Counts sit in columns 0, 1, 2 and 4 (see CSV_HEADER).
+        rows.append(_row(*(int(record[i]) for i in (0, 1, 2, 4))))
+    return _report(rows)
 
 
 @lru_cache(maxsize=1)
@@ -393,9 +367,4 @@ def bundled_gold() -> tuple[GoldEntry, ...]:
 @lru_cache(maxsize=1)
 def extra_gold() -> tuple[GoldEntry, ...]:
     """The hand-picked gold entries shipped alongside the paradigms."""
-    text = (
-        resources.files("tamilstem.data")
-        .joinpath("extra_gold.tsv")
-        .read_text(encoding="utf-8")
-    )
-    return tuple(load_gold(text))
+    return tuple(load_gold(_packaged_text("extra_gold.tsv")))

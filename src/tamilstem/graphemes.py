@@ -15,6 +15,7 @@ character and the engine works on them unchanged.
 
 import unicodedata
 from dataclasses import dataclass
+from importlib import resources
 
 # Tamil block ranges (U+0B80..U+0BFF).
 _AYTHAM = "ஃ"                      # ஃ stands alone
@@ -105,6 +106,10 @@ def word(text: str) -> GraphemeWord:
     return segment(normalize(text))
 
 
+def _as_word(text: "GraphemeWord | str") -> GraphemeWord:
+    return text if isinstance(text, GraphemeWord) else word(text)
+
+
 def ends_with(w: GraphemeWord, suffix: GraphemeWord) -> bool:
     """True iff the last ``len(suffix)`` letters of *w* equal *suffix*."""
     k = len(suffix.graphemes)
@@ -120,3 +125,9 @@ def is_tamil(w: GraphemeWord) -> bool:
     return bool(w.graphemes) and all(
         "஀" <= g[0] <= "௿" for g in w.graphemes
     )
+
+
+def _packaged_text(name: str) -> str:
+    """The UTF-8 text of a data file shipped in ``tamilstem/data``."""
+    data = resources.files("tamilstem.data")
+    return data.joinpath(name).read_text(encoding="utf-8")

@@ -20,9 +20,15 @@ word and stemming always terminates.
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 
-from .graphemes import GraphemeWord, ends_with, normalize, segment
+from .graphemes import (
+    _DEPENDENT_SIGNS,
+    GraphemeWord,
+    _packaged_text,
+    ends_with,
+    normalize,
+    segment,
+)
 
 
 class SuffixClass(enum.Enum):
@@ -76,12 +82,9 @@ class SuffixRule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Immutable, validated rule collection with per-class lookup."""
+    """Immutable, validated rule collection."""
 
     rules: tuple[SuffixRule, ...]
-    by_class: dict[SuffixClass, tuple[SuffixRule, ...]] = field(
-        compare=False, repr=False, default_factory=dict
-    )
     # Buckets rules by the final letter of their pattern so candidate
     # lookup touches only rules that can possibly match.
     _by_last: dict[str, tuple[SuffixRule, ...]] = field(
@@ -93,8 +96,8 @@ class RuleSet:
 
     def find(self, klass: SuffixClass, pattern_text: str) -> SuffixRule | None:
         target = normalize(pattern_text)
-        for rule in self.by_class.get(klass, ()):
-            if rule.pattern.text == target:
+        for rule in self.rules:
+            if rule.klass is klass and rule.pattern.text == target:
                 return rule
         return None
 
@@ -102,115 +105,94 @@ class RuleSet:
 def _build_ruleset(rules: list[SuffixRule]) -> RuleSet:
     ordered = tuple(rules)
     match_order = sorted(ordered, key=lambda r: (-len(r.pattern), r.order))
-    by_class: dict[SuffixClass, tuple[SuffixRule, ...]] = {}
-    for c in SuffixClass:
-        group = tuple(r for r in match_order if r.klass is c)
-        if group:
-            by_class[c] = group
     by_last: dict[str, list[SuffixRule]] = {}
     for rule in match_order:
         by_last.setdefault(rule.pattern.graphemes[-1], []).append(rule)
-    return RuleSet(
-        ordered, by_class, {k: tuple(v) for k, v in by_last.items()}
-    )
+    return RuleSet(ordered, {k: tuple(v) for k, v in by_last.items()})
 
 
 def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
+    def error(message: str) -> RuleError:
+        return RuleError(f"line {lineno}: {message}", line=lineno)
+
+    def lookup(name: str, kind: str) -> SuffixClass:
+        klass = _CLASS_BY_NAME.get(name.strip())
+        if klass is None:
+            raise error(f"unknown {kind} {name.strip()!r}")
+        return klass
+
     fields = line.split("\t")
     if len(fields) != 5:
-        raise RuleError(
-            f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}",
-            line=lineno,
-        )
+        raise error(f"expected 5 tab-separated fields, got {len(fields)}")
     class_name, pattern_text, replacement_text, min_stem_text, next_text = fields
-    klass = _CLASS_BY_NAME.get(class_name.strip())
-    if klass is None:
-        raise RuleError(
-            f"line {lineno}: unknown suffix class {class_name.strip()!r}",
-            line=lineno,
-        )
+    klass = lookup(class_name, "suffix class")
     pattern = segment(normalize(pattern_text))
     if len(pattern) == 0:
-        raise RuleError(f"line {lineno}: empty pattern", line=lineno)
+        raise error("empty pattern")
+    if pattern.text[0] in _DEPENDENT_SIGNS:
+        raise error(
+            f"pattern {pattern.text!r} starts with a vowel sign or pulli, "
+            "so it can only match malformed text"
+        )
     replacement = segment(normalize(replacement_text))
     if len(replacement) >= len(pattern):
-        raise RuleError(
-            f"line {lineno}: replacement {replacement.text!r} is not shorter "
-            f"than pattern {pattern.text!r}; rule would not terminate",
-            line=lineno,
+        raise error(
+            f"replacement {replacement.text!r} is not shorter than pattern "
+            f"{pattern.text!r}; rule would not terminate"
         )
     try:
         min_stem = int(min_stem_text)
     except ValueError:
-        raise RuleError(
-            f"line {lineno}: min_stem {min_stem_text!r} is not an integer",
-            line=lineno,
-        ) from None
+        raise error(f"min_stem {min_stem_text!r} is not an integer") from None
     if min_stem < 1:
-        raise RuleError(f"line {lineno}: min_stem must be >= 1", line=lineno)
-    next_classes = set()
-    if next_text.strip():
-        for name in next_text.split(","):
-            nc = _CLASS_BY_NAME.get(name.strip())
-            if nc is None:
-                raise RuleError(
-                    f"line {lineno}: unknown next class {name.strip()!r}",
-                    line=lineno,
-                )
-            next_classes.add(nc)
+        raise error("min_stem must be >= 1")
+    names = next_text.split(",") if next_text.strip() else []
+    next_classes = frozenset(lookup(name, "next class") for name in names)
     return SuffixRule(
-        klass, pattern, replacement, min_stem, frozenset(next_classes), order
+        klass, pattern, replacement, min_stem, next_classes, order
     )
+
+
+def _scan(text: str) -> tuple[list[SuffixRule], list[RuleError]]:
+    """The valid rules of *text*, and its problems in line order."""
+    rules: list[SuffixRule] = []
+    problems: list[RuleError] = []
+    seen: dict[tuple[SuffixClass, str], int] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            rule = _parse_line(lineno, line, len(rules))
+        except RuleError as exc:
+            problems.append(exc)
+            continue
+        key = (rule.klass, rule.pattern.text)
+        if key in seen:
+            problems.append(
+                RuleConflictError(
+                    f"duplicate rule for class {rule.klass} pattern "
+                    f"{rule.pattern.text!r}: lines {seen[key]} and {lineno}",
+                    first_line=seen[key],
+                    second_line=lineno,
+                )
+            )
+        else:
+            seen[key] = lineno
+            rules.append(rule)
+    return rules, problems
 
 
 def parse_rules(text: str) -> RuleSet:
     """Parse and validate a rule file; raises RuleError on the first defect."""
-    rules: list[SuffixRule] = []
-    seen: dict[tuple[SuffixClass, str], int] = {}
-    order = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        rule = _parse_line(lineno, line, order)
-        key = (rule.klass, rule.pattern.text)
-        if key in seen:
-            raise RuleConflictError(
-                f"duplicate rule for class {rule.klass} pattern "
-                f"{rule.pattern.text!r}: lines {seen[key]} and {lineno}",
-                first_line=seen[key],
-                second_line=lineno,
-            )
-        seen[key] = lineno
-        rules.append(rule)
-        order += 1
+    rules, problems = _scan(text)
+    if problems:
+        raise problems[0]
     return _build_ruleset(rules)
 
 
 def validate_rules(text: str) -> list[str]:
     """Collect every diagnostic in a rule file instead of stopping at one."""
-    problems: list[str] = []
-    seen: dict[tuple[SuffixClass, str], int] = {}
-    order = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        try:
-            rule = _parse_line(lineno, line, order)
-        except RuleError as exc:
-            problems.append(str(exc))
-            continue
-        order += 1
-        key = (rule.klass, rule.pattern.text)
-        if key in seen:
-            problems.append(
-                f"duplicate rule for class {rule.klass} pattern "
-                f"{rule.pattern.text!r}: lines {seen[key]} and {lineno}"
-            )
-        else:
-            seen[key] = lineno
-    return problems
+    return [str(problem) for problem in _scan(text)[1]]
 
 
 def render_rules(ruleset: RuleSet) -> str:
@@ -237,12 +219,7 @@ def render_rules(ruleset: RuleSet) -> str:
 @lru_cache(maxsize=1)
 def builtin_rules() -> RuleSet:
     """The shipped rule inventory (see data/builtin_rules.tsv)."""
-    text = (
-        resources.files("tamilstem.data")
-        .joinpath("builtin_rules.tsv")
-        .read_text(encoding="utf-8")
-    )
-    return parse_rules(text)
+    return parse_rules(_packaged_text("builtin_rules.tsv"))
 
 
 def candidates(

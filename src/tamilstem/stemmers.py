@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphemes import GraphemeWord, word
+from .graphemes import GraphemeWord, _as_word
 from .rules import (
     ALL_CLASSES,
     RuleSet,
@@ -29,6 +29,8 @@ from .rules import (
     candidates,
 )
 
+_PLURAL = frozenset({SuffixClass.PLURAL})
+_PARTICIPLE = frozenset({SuffixClass.ADJECTIVAL_PARTICIPLE})
 _TENSE_LAYER = frozenset(
     {
         SuffixClass.TENSE,
@@ -56,22 +58,38 @@ class StemResult:
     trace: tuple[StemStep, ...]
 
 
-def _as_word(text: GraphemeWord | str) -> GraphemeWord:
-    return text if isinstance(text, GraphemeWord) else word(text)
+def _walk(
+    rules: RuleSet | None,
+    text: GraphemeWord | str,
+    allowed: frozenset[SuffixClass],
+    chain: bool,
+    max_steps: int | None = None,
+) -> StemResult:
+    """Apply the first candidate rule repeatedly, recording each step.
 
-
-def _best(
-    rules: RuleSet, w: GraphemeWord, allowed: frozenset[SuffixClass]
-) -> SuffixRule | None:
-    matched = candidates(rules, w, allowed)
-    return matched[0] if matched else None
-
-
-def _apply_once(
-    rules: RuleSet, w: GraphemeWord, allowed: frozenset[SuffixClass]
-) -> GraphemeWord:
-    rule = _best(rules, w, allowed)
-    return apply_rule(w, rule) if rule else w
+    With *chain*, each applied rule's ``next_classes`` become the classes
+    allowed next, and a terminal rule ends the walk; without it every
+    step may use any class in *allowed*.  Stops when no rule matches or
+    after *max_steps* applications.  Every rule shortens the word, so
+    the walk always terminates.
+    """
+    if rules is None:
+        rules = builtin_rules()
+    start = w = _as_word(text)
+    trace = []
+    while max_steps is None or len(trace) < max_steps:
+        matched = candidates(rules, w, allowed)
+        if not matched:
+            break
+        rule = matched[0]
+        after = apply_rule(w, rule)
+        trace.append(StemStep(rule, w, after))
+        w = after
+        if chain:
+            if not rule.next_classes:
+                break
+            allowed = rule.next_classes
+    return StemResult(start, w, tuple(trace))
 
 
 def strip_stem(
@@ -80,21 +98,9 @@ def strip_stem(
     """Iteratively remove the longest matching suffix of any class.
 
     Stops when no rule matches or stripping would drop below a rule's
-    minimum stem length.  Every step strictly shortens the word, so the
-    loop always terminates.
+    minimum stem length.
     """
-    if rules is None:
-        rules = builtin_rules()
-    start = w = _as_word(text)
-    trace = []
-    while True:
-        rule = _best(rules, w, ALL_CLASSES)
-        if rule is None:
-            break
-        after = apply_rule(w, rule)
-        trace.append(StemStep(rule, w, after))
-        w = after
-    return StemResult(start, w, tuple(trace))
+    return _walk(rules, text, ALL_CLASSES, chain=False)
 
 
 def stem_batch(
@@ -112,29 +118,21 @@ def strip_plural(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Apply the single longest plural rule, or return the word as is."""
-    if rules is None:
-        rules = builtin_rules()
-    return _apply_once(rules, _as_word(text), frozenset({SuffixClass.PLURAL}))
+    return _walk(rules, text, _PLURAL, chain=False, max_steps=1).stem
 
 
 def adjectival_to_verb(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Substitute an adjectival-participle ending with its verb base."""
-    if rules is None:
-        rules = builtin_rules()
-    return _apply_once(
-        rules, _as_word(text), frozenset({SuffixClass.ADJECTIVAL_PARTICIPLE})
-    )
+    return _walk(rules, text, _PARTICIPLE, chain=False, max_steps=1).stem
 
 
 def strip_tense(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Remove one finite-verb ending (tense, negative, or bare PNG)."""
-    if rules is None:
-        rules = builtin_rules()
-    return _apply_once(rules, _as_word(text), _TENSE_LAYER)
+    return _walk(rules, text, _TENSE_LAYER, chain=False, max_steps=1).stem
 
 
 def light_stem(
@@ -146,22 +144,7 @@ def light_stem(
     belong to the previous rule's ``next_classes``.  An empty
     ``next_classes`` marks a terminal layer and ends the loop.
     """
-    if rules is None:
-        rules = builtin_rules()
-    start = w = _as_word(text)
-    trace = []
-    allowed = ALL_CLASSES
-    while True:
-        rule = _best(rules, w, allowed)
-        if rule is None:
-            break
-        after = apply_rule(w, rule)
-        trace.append(StemStep(rule, w, after))
-        w = after
-        if not rule.next_classes:
-            break
-        allowed = rule.next_classes
-    return StemResult(start, w, tuple(trace))
+    return _walk(rules, text, ALL_CLASSES, chain=True)
 
 
 ENGINES = {"strip": strip_stem, "light": light_stem}

@@ -1,11 +1,14 @@
 """Command-line behavior: outputs, pipes, and exit codes."""
 
 import io
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import tamilstem
 from tamilstem.cli import (
     EX_DATA,
     EX_NOINPUT,
@@ -222,3 +225,117 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "பெண்கள்\tபெண்\n"
+
+
+_ENTRY = "from tamilstem.cli import entry; entry()"
+
+
+def run_entry(argv, data: bytes, io_encoding: str):
+    """Run the console entry point in a fresh interpreter on raw bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tamilstem.__file__))
+    env["PYTHONIOENCODING"] = io_encoding
+    return subprocess.run(
+        [sys.executable, "-c", _ENTRY, *argv],
+        input=data,
+        capture_output=True,
+        timeout=60,
+        env=env,
+    )
+
+
+_BAD_UTF8 = "மரம்\n".encode() + b"ab\xff\xfecd\n"
+_BAD_GOLD = "மரம்\tமரம்\n".encode() + b"\xff\tx\n"
+
+
+@pytest.mark.parametrize(
+    "argv,data",
+    [
+        (["stem"], _BAD_UTF8),
+        (["eval"], _BAD_GOLD),
+        (["compare"], _BAD_GOLD),
+        (["generate", "--paradigm", "noun"], _BAD_UTF8),
+    ],
+    ids=["stem", "eval", "compare", "generate"],
+)
+def test_undecodable_stdin_exits_65_with_line(argv, data):
+    proc = run_entry(argv, data, "utf-8:surrogateescape")
+    err = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == EX_DATA, err
+    assert err.startswith("tamilstem: error: <stdin>: line 2: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["stem"], ["eval"]])
+def test_undecodable_stdin_exits_65_when_decoding_strictly(argv):
+    proc = run_entry(argv, _BAD_UTF8, "utf-8:strict")
+    err = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == EX_DATA, err
+    assert err.startswith("tamilstem: error: <stdin>: not valid UTF-8")
+    assert "Traceback" not in err
+
+
+def test_bom_on_stdin_is_dropped_in_a_subprocess():
+    proc = run_entry(["stem"], "﻿பெண்கள்\n".encode(), "utf-8")
+    assert proc.returncode == EX_OK
+    assert proc.stdout.decode() == "பெண்கள்\tபெண்\n"
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["stem"], "மரம்\nக\udcffள்\n"),
+        (["eval"], "மரம்\tமரம்\nக\udcff\tக\n"),
+        (["compare"], "மரம்\tமரம்\nக\tக\udcff\n"),
+        (["generate", "--paradigm", "verb"], "படி\nப\udcffடி\n"),
+    ],
+    ids=["stem", "eval", "compare", "generate"],
+)
+def test_lone_surrogate_on_stdin_exits_65(argv, text):
+    code, _, err = run_cli(argv, text)
+    assert code == EX_DATA
+    assert err.startswith("tamilstem: error: <stdin>: line 2: ")
+
+
+@pytest.mark.parametrize("option", ["--gold", "--rules"])
+def test_undecodable_file_exits_65_with_path_and_line(tmp_path, option):
+    path = tmp_path / "input.tsv"
+    path.write_bytes("# ok\n".encode() + b"\xc3\x28\n")
+    argv = ["eval", option, str(path)]
+    code, _, err = run_cli(argv, GOLD_TEXT)
+    assert code == EX_DATA
+    assert err.startswith(f"tamilstem: error: {path}: line 2: not valid UTF-8")
+
+
+def test_undecodable_rule_file_fails_rules_validate(tmp_path):
+    path = tmp_path / "rules.tsv"
+    path.write_bytes(b"\xff\n")
+    code, out, err = run_cli(["rules-validate", str(path)])
+    assert code == EX_DATA
+    assert out == ""
+    assert f"{path}: line 1: not valid UTF-8" in err
+
+
+def test_bom_is_dropped_from_stdin_and_files(tmp_path):
+    _, out, _ = run_cli(["stem", "--trace"], "﻿மரங்கள்\n")
+    assert out == "மரங்கள்\tமரம்\n# Plural\tங்கள்\tம்\tமரம்\n"
+    _, out, _ = run_cli(["generate", "--paradigm", "verb"], "﻿படி\n")
+    assert out.startswith("படித்தேன்\tபடி\n")
+    assert run_cli(["eval"], "﻿" + GOLD_TEXT)[1].endswith("100.0\n")
+    gold = tmp_path / "gold.tsv"
+    gold.write_bytes(b"\xef\xbb\xbf" + GOLD_TEXT.encode())
+    rules = tmp_path / "rules.tsv"
+    rules.write_bytes(b"\xef\xbb\xbfCase\ts\t\t1\t\n")
+    code, out, _ = run_cli(["eval", "--gold", str(gold)])
+    assert (code, out.endswith("100.0\n")) == (EX_OK, True)
+    code, out, _ = run_cli(["stem", "--rules", str(rules)], "cats\n")
+    assert (code, out) == (EX_OK, "cats\tcat\n")
+    assert run_cli(["rules-validate", str(rules)])[1] == "ok: 1 rules\n"
+
+
+def test_rules_validate_rejects_a_dead_pattern(tmp_path):
+    path = tmp_path / "rules.tsv"
+    path.write_text("Case\tஐ\t\t1\t\nCase\tா\t\t1\t\n", encoding="utf-8")
+    code, out, _ = run_cli(["rules-validate", str(path)])
+    assert code == EX_DATA
+    assert out.startswith("line 2: pattern 'ா' starts with a vowel sign")

@@ -1,6 +1,7 @@
 """Rule file parsing, validation, and matching."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamilstem.graphemes import word
 from tamilstem.rules import (
@@ -196,3 +197,69 @@ def test_apply_rule_resegments_result():
 def test_rule_application_strictly_shortens():
     for rule in builtin_rules().rules:
         assert len(rule.replacement) < len(rule.pattern)
+
+
+@pytest.mark.parametrize("pattern", ["ா", "ாம்", "்", "ிய", "ௗ"])
+def test_pattern_starting_with_a_dependent_sign_is_rejected(pattern):
+    text = f"# header\nCase\t{pattern}\t\t1\t\n"
+    with pytest.raises(RuleError, match="vowel sign or pulli") as exc:
+        parse_rules(text)
+    assert exc.value.line == 2
+    assert validate_rules(text) == [str(exc.value)]
+
+
+def test_replacement_may_start_with_a_dependent_sign():
+    (rule,) = parse_rules("Case\tடியை\tி\t1\t\n").rules
+    assert rule.replacement.text == "ி"
+
+
+# Per rule field: values that parse, then values that do not.  Valid
+# values are repeated so that whole valid lines, and so duplicate
+# (class, pattern) pairs, come up often.
+_FIELDS = (
+    (["Plural", "Case", " Tense "], ["Misc", ""]),
+    (["கள்", "ஐ", "ங்கள்", "s"], ["ா", "்", ""]),
+    (["", "", "ம்"], ["ங்கள்ஐ"]),
+    (["1", "2", " 3"], ["0", "x"]),
+    (["", "Case", "Case,Plural"], ["Nope", "Case,,Plural"]),
+)
+_tabbed_line = st.tuples(
+    *(st.sampled_from(good * 4 + bad) for good, bad in _FIELDS)
+).map("\t".join)
+_other_line = st.one_of(
+    st.lists(st.sampled_from(["Case", "ஐ", "", "2"]), max_size=7).map(
+        "\t".join
+    ),
+    st.sampled_from(["", "# comment", "   ", "\t#x"]),
+    st.text(max_size=12),
+)
+# One line in six is a blank, a comment, a wrong field count or noise.
+_rule_line = st.integers(0, 5).flatmap(
+    lambda k: _other_line if k == 0 else _tabbed_line
+)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.lists(_rule_line, max_size=8), st.sampled_from(["\n", "\r\n"]))
+def test_parse_rules_raises_the_first_problem_validate_rules_reports(
+    lines, newline
+):
+    text = newline.join(lines)
+    problems = validate_rules(text)
+    try:
+        ruleset = parse_rules(text)
+    except RuleError as exc:
+        assert problems and str(exc) == problems[0]
+        if isinstance(exc, RuleConflictError):
+            assert exc.line == exc.second_line > exc.first_line
+            assert f"lines {exc.first_line} and {exc.second_line}" in str(exc)
+            rows = text.splitlines()
+            (first,) = parse_rules(rows[exc.first_line - 1]).rules
+            (second,) = parse_rules(rows[exc.second_line - 1]).rules
+            assert (first.klass, first.pattern) == (
+                second.klass,
+                second.pattern,
+            )
+    else:
+        assert problems == []
+        assert [r.order for r in ruleset.rules] == list(range(len(ruleset)))
