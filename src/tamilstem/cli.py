@@ -29,9 +29,16 @@ from .evaluation import (
     render,
     REPORT_FORMATS,
 )
-from .graphemes import _packaged_text
+from .graphemes import _BOM, _packaged_text
 from .paradigm import PARADIGMS, generate_forms
-from .rules import RuleError, RuleSet, builtin_rules, parse_rules, validate_rules
+from .rules import (
+    RuleConflictError,
+    RuleError,
+    RuleSet,
+    _scan,
+    builtin_rules,
+    parse_rules,
+)
 from .stemmers import ENGINES
 
 EX_OK = 0
@@ -39,9 +46,6 @@ EX_RULE_CONFLICT = 2
 EX_USAGE = 64
 EX_DATA = 65
 EX_NOINPUT = 66
-
-_CONFLICT_MARKER = "duplicate rule"
-_BOM = "\ufeff"
 
 
 class _UsageError(Exception):
@@ -179,7 +183,7 @@ def _load_gold_entries(path, stdin):
     text = _read_file(path) if path is not None else stdin.read()
     source = path if path is not None else "<stdin>"
     try:
-        entries = load_gold(text.removeprefix(_BOM))
+        entries = load_gold(text)
     except GoldError as exc:
         raise _CliError(EX_DATA, f"{source}: {exc}") from None
     if not entries:
@@ -241,14 +245,13 @@ def _cmd_rules_validate(args, stdin, stdout) -> int:
         text = _read_file(args.path)
     else:
         text = _packaged_text("builtin_rules.tsv")
-    problems = validate_rules(text)
+    rules, problems = _scan(text)
     if not problems:
-        count = len(parse_rules(text))
-        print(f"ok: {count} rules", file=stdout)
+        print(f"ok: {len(rules)} rules", file=stdout)
         return EX_OK
     for problem in problems:
         print(problem, file=stdout)
-    if any(_CONFLICT_MARKER in p for p in problems):
+    if any(isinstance(p, RuleConflictError) for p in problems):
         return EX_RULE_CONFLICT
     return EX_DATA
 

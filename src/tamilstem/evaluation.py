@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .graphemes import GraphemeWord, _as_word, _packaged_text, word
+from .graphemes import _BOM, GraphemeWord, _as_word, _packaged_text, word
 from .paradigm import build_corpus
 from .rules import RuleSet, builtin_rules
 from .stemmers import light_stem, strip_stem
@@ -91,7 +91,8 @@ class EvalReport:
 def load_gold(text: str) -> list[GoldEntry]:
     """Parse ``surface<TAB>stem`` lines; ``#`` comments and blanks skip."""
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.removeprefix(_BOM).splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -142,15 +143,15 @@ def format_accuracy(value: Rational) -> str:
     return f"{tenths // 10}.{tenths % 10}"
 
 
-def _dedupe(gold: "list[GoldEntry]") -> dict[str, str]:
-    expected: dict[str, str] = {}
+def _dedupe(gold: "list[GoldEntry]") -> dict[str, GoldEntry]:
+    """The first entry of each surface, keyed by the surface's text."""
+    first: dict[str, GoldEntry] = {}
     conflicts = []
     for entry in gold:
         surface = entry.surface.text
-        stem = entry.expected_stem.text
-        if surface not in expected:
-            expected[surface] = stem
-        elif expected[surface] != stem:
+        if surface not in first:
+            first[surface] = entry
+        elif first[surface].expected_stem.text != entry.expected_stem.text:
             conflicts.append(surface)
     if conflicts:
         warnings.warn(
@@ -159,7 +160,7 @@ def _dedupe(gold: "list[GoldEntry]") -> dict[str, str]:
             GoldConflictWarning,
             stacklevel=3,
         )
-    return expected
+    return first
 
 
 def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
@@ -170,13 +171,13 @@ def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
     """
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
-    expected = _dedupe(gold)
+    first = _dedupe(gold)
     n_correct = sum(
         1
-        for surface, stem in expected.items()
-        if stemmer(word(surface)).stem.text == stem
+        for entry in first.values()
+        if stemmer(entry.surface).stem.text == entry.expected_stem.text
     )
-    return len(expected), n_correct
+    return len(first), n_correct
 
 
 def compare(
@@ -203,20 +204,19 @@ def compare(
             )
         previous = size
 
-    expected = _dedupe(gold)
+    _dedupe(gold)  # warns about conflicting duplicates
     boundaries = set(sizes)
     seen: set[str] = set()
     correct_strip = correct_light = 0
     rows = []
     for position, entry in enumerate(gold, start=1):
         surface = entry.surface.text
-        if surface not in seen:
+        if surface not in seen:  # the first occurrence, whose stem counts
             seen.add(surface)
-            stem = expected[surface]
-            w = word(surface)
-            if strip_stem(w, rules).stem.text == stem:
+            stem = entry.expected_stem.text
+            if strip_stem(entry.surface, rules).stem.text == stem:
                 correct_strip += 1
-            if light_stem(w, rules).stem.text == stem:
+            if light_stem(entry.surface, rules).stem.text == stem:
                 correct_light += 1
         if position in boundaries:
             rows.append(

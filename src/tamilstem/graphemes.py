@@ -31,6 +31,10 @@ _DEPENDENT_SIGNS = frozenset(
 
 _ZERO_WIDTH_JOINERS = frozenset("‌‍")
 
+# A byte-order mark that editors put at the start of a file; readers
+# drop it so it does not become part of the first field.
+_BOM = "\ufeff"
+
 
 def normalize(text: str) -> str:
     """Return the canonical composed (NFC) form of *text*.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphemes import GraphemeWord, _as_word, _packaged_text, word
+from .graphemes import _BOM, GraphemeWord, _as_word, _packaged_text, word
 
 PARADIGMS = ("noun", "verb")
 
@@ -123,7 +123,8 @@ def load_roots(text: str) -> list[tuple[GraphemeWord, str]]:
     offending line number.
     """
     roots = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.removeprefix(_BOM).splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

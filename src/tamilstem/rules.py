@@ -15,17 +15,26 @@ with ``#`` comments, blank lines ignored, and next_classes a
 comma-separated list (empty means terminal).  Replacements must be
 strictly shorter than their patterns so every application shortens the
 word and stemming always terminates.
+
+Each ``RuleSet`` compiles its rules once into a suffix index, in the
+manner of Snowball's ``among`` table: pattern letters map to their rules
+in file order, and each word-final letter maps to the lengths of the
+patterns ending in it, longest first.  A lookup reads the word's last
+letter and probes one suffix of each of those lengths, so a word whose
+final letter ends no pattern costs one dictionary miss.
 """
 
 import enum
+import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graphemes import (
+    _BOM,
     _DEPENDENT_SIGNS,
+    _ZERO_WIDTH_JOINERS,
     GraphemeWord,
     _packaged_text,
-    ends_with,
     normalize,
     segment,
 )
@@ -47,6 +56,13 @@ class SuffixClass(enum.Enum):
 _CLASS_BY_NAME = {c.value: c for c in SuffixClass}
 
 ALL_CLASSES = frozenset(SuffixClass)
+
+_BIT = {c: 1 << i for i, c in enumerate(SuffixClass)}
+
+
+def _class_mask(classes) -> int:
+    """A set of classes as an integer with one bit per class."""
+    return sum(_BIT[klass] for klass in classes)
 
 
 class RuleError(ValueError):
@@ -80,14 +96,24 @@ class SuffixRule:
         return word_len - len(self.pattern) + len(self.replacement)
 
 
+# A suffix-index entry: (rule, its class bit, the mask of its
+# next_classes, the shortest word it applies to, which is
+# min_stem + len(pattern) - len(replacement), and whether its
+# replacement can merge with the letter before it).
+_Entry = tuple[SuffixRule, int, int, int, bool]
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """Immutable, validated rule collection."""
 
     rules: tuple[SuffixRule, ...]
-    # Buckets rules by the final letter of their pattern so candidate
-    # lookup touches only rules that can possibly match.
-    _by_last: dict[str, tuple[SuffixRule, ...]] = field(
+    # The suffix index: pattern letters -> entries in file order, and
+    # final letter -> the pattern lengths ending in it, longest first.
+    _index: dict[tuple[str, ...], tuple[_Entry, ...]] = field(
+        compare=False, repr=False, default_factory=dict
+    )
+    _lengths: dict[str, tuple[int, ...]] = field(
         compare=False, repr=False, default_factory=dict
     )
 
@@ -102,13 +128,40 @@ class RuleSet:
         return None
 
 
+def _merges(replacement: str) -> bool:
+    """Whether *replacement* can join the letter before it.
+
+    Segmentation attaches a combining mark (every dependent sign is one)
+    or a zero-width joiner to the preceding letter.
+    """
+    return bool(replacement) and (
+        unicodedata.category(replacement[0]) in ("Mn", "Mc", "Me")
+        or replacement[0] in _ZERO_WIDTH_JOINERS
+    )
+
+
 def _build_ruleset(rules: list[SuffixRule]) -> RuleSet:
+    """Index *rules*, which come in file order (``order`` ascending)."""
     ordered = tuple(rules)
-    match_order = sorted(ordered, key=lambda r: (-len(r.pattern), r.order))
-    by_last: dict[str, list[SuffixRule]] = {}
-    for rule in match_order:
-        by_last.setdefault(rule.pattern.graphemes[-1], []).append(rule)
-    return RuleSet(ordered, {k: tuple(v) for k, v in by_last.items()})
+    index: dict[tuple[str, ...], list[_Entry]] = {}
+    lengths: dict[str, set[int]] = {}
+    for rule in ordered:
+        pattern = rule.pattern.graphemes
+        index.setdefault(pattern, []).append(
+            (
+                rule,
+                _BIT[rule.klass],
+                _class_mask(rule.next_classes),
+                rule.min_stem + len(pattern) - len(rule.replacement),
+                _merges(rule.replacement.text),
+            )
+        )
+        lengths.setdefault(pattern[-1], set()).add(len(pattern))
+    return RuleSet(
+        ordered,
+        {pattern: tuple(entries) for pattern, entries in index.items()},
+        {last: tuple(sorted(ks, reverse=True)) for last, ks in lengths.items()},
+    )
 
 
 def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
@@ -158,7 +211,8 @@ def _scan(text: str) -> tuple[list[SuffixRule], list[RuleError]]:
     rules: list[SuffixRule] = []
     problems: list[RuleError] = []
     seen: dict[tuple[SuffixClass, str], int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.removeprefix(_BOM).splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
@@ -233,28 +287,55 @@ def candidates(
     suffix of the word, and applying it would leave at least min_stem
     letters.
     """
-    if not word.graphemes:
-        return []
-    bucket = rules._by_last.get(word.graphemes[-1])
-    if not bucket:
-        return []
+    g = word.graphemes
+    n = len(g)
     out = []
-    n = len(word)
-    for rule in bucket:
-        if (
-            rule.klass in allowed
-            and rule.stem_length_after(n) >= rule.min_stem
-            and ends_with(word, rule.pattern)
-        ):
-            out.append(rule)
+    for k in rules._lengths.get(g[-1], ()) if g else ():
+        if k <= n:
+            for rule, _bit, _next, shortest, _merge in rules._index.get(
+                g[-k:], ()
+            ):
+                if n >= shortest and rule.klass in allowed:
+                    out.append(rule)
     return out
+
+
+def _first_match(
+    rules: RuleSet, g: tuple[str, ...], mask: int
+) -> _Entry | None:
+    """The index entry of the first applicable rule whose class bit is
+    in *mask*: the rule ``candidates`` would list first."""
+    if not g:
+        return None
+    n = len(g)
+    index = rules._index
+    for k in rules._lengths.get(g[-1], ()):
+        if k <= n:
+            for entry in index.get(g[-k:], ()):
+                if entry[1] & mask and n >= entry[3]:
+                    return entry
+    return None
+
+
+def _apply(word: GraphemeWord, rule: SuffixRule, merges: bool) -> GraphemeWord:
+    """*word* with *rule*'s pattern replaced; *merges* as in `_merges`."""
+    pattern, replacement = rule.pattern, rule.replacement
+    kept = word.text[: -len(pattern.text)]  # patterns are never empty
+    if merges:
+        return segment(kept + replacement.text)
+    return GraphemeWord(
+        word.graphemes[: -len(pattern.graphemes)] + replacement.graphemes,
+        kept + replacement.text,
+    )
 
 
 def apply_rule(word: GraphemeWord, rule: SuffixRule) -> GraphemeWord:
     """Strip the matched pattern and append the replacement.
 
-    Re-segments the result so the letter-sequence invariant holds even
-    for user rules whose replacement begins with a dependent sign.
+    *rule* must match the end of *word*, as every rule ``candidates``
+    returns does.  The result is re-segmented only when the replacement
+    starts with a sign that joins the letter before it (a vowel sign,
+    pulli, combining mark or zero-width joiner), so the letter-sequence
+    invariant holds for such user rules too.
     """
-    kept = word.graphemes[: len(word) - len(rule.pattern)]
-    return segment("".join(kept) + rule.replacement.text)
+    return _apply(word, rule, _merges(rule.replacement.text))

@@ -24,14 +24,17 @@ from .rules import (
     RuleSet,
     SuffixClass,
     SuffixRule,
-    apply_rule,
+    _apply,
+    _class_mask,
+    _first_match,
     builtin_rules,
-    candidates,
 )
 
-_PLURAL = frozenset({SuffixClass.PLURAL})
-_PARTICIPLE = frozenset({SuffixClass.ADJECTIVAL_PARTICIPLE})
-_TENSE_LAYER = frozenset(
+# The class sets the entry points allow, as masks (see rules._class_mask).
+_ALL = _class_mask(ALL_CLASSES)
+_PLURAL = _class_mask({SuffixClass.PLURAL})
+_PARTICIPLE = _class_mask({SuffixClass.ADJECTIVAL_PARTICIPLE})
+_TENSE_LAYER = _class_mask(
     {
         SuffixClass.TENSE,
         SuffixClass.NEGATIVE_COMPOUND,
@@ -61,34 +64,35 @@ class StemResult:
 def _walk(
     rules: RuleSet | None,
     text: GraphemeWord | str,
-    allowed: frozenset[SuffixClass],
+    allowed: int,
     chain: bool,
     max_steps: int | None = None,
 ) -> StemResult:
     """Apply the first candidate rule repeatedly, recording each step.
 
-    With *chain*, each applied rule's ``next_classes`` become the classes
-    allowed next, and a terminal rule ends the walk; without it every
-    step may use any class in *allowed*.  Stops when no rule matches or
-    after *max_steps* applications.  Every rule shortens the word, so
-    the walk always terminates.
+    *allowed* is a class mask.  With *chain*, each applied rule's
+    ``next_classes`` become the classes allowed next, and a terminal
+    rule ends the walk; without it every step may use any class in
+    *allowed*.  Stops when no rule matches or after *max_steps*
+    applications.  Every rule shortens the word, so the walk always
+    terminates.
     """
     if rules is None:
         rules = builtin_rules()
     start = w = _as_word(text)
     trace = []
     while max_steps is None or len(trace) < max_steps:
-        matched = candidates(rules, w, allowed)
-        if not matched:
+        entry = _first_match(rules, w.graphemes, allowed)
+        if entry is None:
             break
-        rule = matched[0]
-        after = apply_rule(w, rule)
+        rule, _bit, next_mask, _shortest, merges = entry
+        after = _apply(w, rule, merges)
         trace.append(StemStep(rule, w, after))
         w = after
         if chain:
-            if not rule.next_classes:
+            if not next_mask:
                 break
-            allowed = rule.next_classes
+            allowed = next_mask
     return StemResult(start, w, tuple(trace))
 
 
@@ -100,7 +104,7 @@ def strip_stem(
     Stops when no rule matches or stripping would drop below a rule's
     minimum stem length.
     """
-    return _walk(rules, text, ALL_CLASSES, chain=False)
+    return _walk(rules, text, _ALL, chain=False)
 
 
 def stem_batch(
@@ -144,7 +148,7 @@ def light_stem(
     belong to the previous rule's ``next_classes``.  An empty
     ``next_classes`` marks a terminal layer and ends the loop.
     """
-    return _walk(rules, text, ALL_CLASSES, chain=True)
+    return _walk(rules, text, _ALL, chain=True)
 
 
 ENGINES = {"strip": strip_stem, "light": light_stem}

@@ -164,6 +164,14 @@ def test_rules_validate_malformed(tmp_path):
     assert "line 1" in out
 
 
+def test_rules_validate_unknown_class_named_like_a_conflict(tmp_path):
+    bad = tmp_path / "rules.tsv"
+    bad.write_text("duplicate rule\tx\t\t1\t\n", encoding="utf-8")
+    code, out, _ = run_cli(["rules-validate", str(bad)])
+    assert code == EX_DATA
+    assert out == "line 1: unknown suffix class 'duplicate rule'\n"
+
+
 def test_custom_rules_flag(tmp_path):
     rules = tmp_path / "rules.tsv"
     rules.write_text("Case\ts\t\t1\t\n", encoding="utf-8")

@@ -33,11 +33,13 @@ def _gold(pairs):
 
 
 def test_load_gold_basics():
-    entries = load_gold("பெண்கள்\tபெண்\n# comment\n\nமரம்\tமரம்\n")
+    text = "பெண்கள்\tபெண்\n# comment\n\nமரம்\tமரம்\n"
+    entries = load_gold(text)
     assert [(e.surface.text, e.expected_stem.text) for e in entries] == [
         ("பெண்கள்", "பெண்"),
         ("மரம்", "மரம்"),
     ]
+    assert load_gold("\ufeff" + text) == entries
     assert load_gold("") == []
 
 

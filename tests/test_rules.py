@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamilstem.graphemes import word
+from tamilstem.graphemes import ends_with, segment, word
 from tamilstem.rules import (
     ALL_CLASSES,
     RuleConflictError,
@@ -15,6 +15,13 @@ from tamilstem.rules import (
     parse_rules,
     render_rules,
     validate_rules,
+)
+from tamilstem.stemmers import (
+    adjectival_to_verb,
+    light_stem,
+    strip_plural,
+    strip_stem,
+    strip_tense,
 )
 
 GOOD_LINE = "Plural\tகள்\t\t2\tCase,Vocative\n"
@@ -31,6 +38,11 @@ def test_parse_single_rule():
     assert rule.next_classes == frozenset(
         {SuffixClass.CASE, SuffixClass.VOCATIVE}
     )
+
+
+def test_parse_drops_a_leading_bom():
+    assert parse_rules("\ufeff" + GOOD_LINE) == parse_rules(GOOD_LINE)
+    assert validate_rules("\ufeffCase\tஐ\t\t1\t\n") == []
 
 
 def test_parse_empty_file():
@@ -165,19 +177,48 @@ def test_candidates_empty_word():
     assert candidates(builtin_rules(), word(""), ALL_CLASSES) == []
 
 
+def _oracle_candidates(rs, w, allowed):
+    """Every applicable rule by brute force, in match order."""
+    return [
+        r
+        for r in sorted(rs.rules, key=lambda r: (-len(r.pattern), r.order))
+        if r.klass in allowed
+        and ends_with(w, r.pattern)
+        and len(w) - len(r.pattern) + len(r.replacement) >= r.min_stem
+    ]
+
+
+def _oracle_apply(w, rule):
+    kept = "".join(w.graphemes[: len(w) - len(rule.pattern)])
+    return segment(kept + rule.replacement.text)
+
+
+def _oracle_walk(rs, w, allowed, chain, max_steps=None):
+    """The stem and (rule, before, after) steps of a walk over the oracles."""
+    steps = []
+    while max_steps is None or len(steps) < max_steps:
+        found = _oracle_candidates(rs, w, allowed)
+        if not found:
+            break
+        after = _oracle_apply(w, found[0])
+        steps.append((found[0], w, after))
+        w = after
+        if chain:
+            if not found[0].next_classes:
+                break
+            allowed = found[0].next_classes
+    return w, steps
+
+
 def test_candidates_matches_linear_scan():
     rs = builtin_rules()
     words = ["படித்தேன்", "மரங்கள்", "பெண்கள்உக்கு", "ஓடுக்கும்",
              "மரத்இல்", "படி", "hello", "மரம்ஏ"]
     for text in words:
         w = word(text)
-        brute = [
-            r
-            for r in sorted(rs.rules, key=lambda r: (-len(r.pattern), r.order))
-            if w.graphemes[-len(r.pattern):] == r.pattern.graphemes
-            and len(w) - len(r.pattern) + len(r.replacement) >= r.min_stem
-        ]
-        assert candidates(rs, w, ALL_CLASSES) == brute
+        assert candidates(rs, w, ALL_CLASSES) == _oracle_candidates(
+            rs, w, ALL_CLASSES
+        )
 
 
 def test_apply_rule_strips_and_replaces():
@@ -263,3 +304,74 @@ def test_parse_rules_raises_the_first_problem_validate_rules_reports(
     else:
         assert problems == []
         assert [r.order for r in ruleset.rules] == list(range(len(ruleset)))
+
+
+# Small alphabets make rules share patterns and final letters.  Each
+# letter starts with a base character, as a pattern must; replacements
+# may start with a vowel sign, pulli, AU length mark, combining mark or
+# zero-width joiner, which join the letter before them.
+_LETTERS = ("க", "கு", "ம்", "ள்", "ஐ", "டி", "a")
+_REPLACEMENTS = ("", "", "ம்", "க", "ி", "்", "ா", "ௗ", "\u0301", "\u200d")
+_CLASSES = ("Plural", "Case", "Tense")
+_index_rule = st.tuples(
+    st.sampled_from(_CLASSES),
+    st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=3).map("".join),
+    st.sampled_from(_REPLACEMENTS),
+    st.sampled_from([1, 1, 2, 3]),
+    st.sets(st.sampled_from(_CLASSES)).map(lambda c: ",".join(sorted(c))),
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.lists(_index_rule, max_size=10, unique_by=lambda r: r[:2]),
+    st.data(),
+)
+def test_suffix_index_agrees_with_brute_force(specs, data):
+    lines = [
+        # A one-letter pattern can only take an empty replacement.
+        f"{klass}\t{pattern}\t{rep if len(segment(pattern)) > 1 else ''}"
+        f"\t{min_stem}\t{nxt}"
+        for klass, pattern, rep, min_stem, nxt in specs
+    ]
+    rs = parse_rules("\n".join(lines) + "\n")
+    patterns = [r.pattern.text for r in rs.rules] or ["க"]
+    letters = st.lists(st.sampled_from(_LETTERS), max_size=5).map("".join)
+    texts = data.draw(
+        st.lists(
+            st.one_of(
+                letters,
+                st.sampled_from(patterns),
+                st.tuples(letters, st.sampled_from(patterns)).map("".join),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    allowed = data.draw(st.sets(st.sampled_from(list(SuffixClass))))
+    for w in map(word, texts):
+        for classes in (ALL_CLASSES, allowed):
+            found = candidates(rs, w, classes)
+            assert found == _oracle_candidates(rs, w, classes)
+            for rule in found:
+                assert apply_rule(w, rule) == _oracle_apply(w, rule)
+        for engine, chain in ((light_stem, True), (strip_stem, False)):
+            result = engine(w, rs)
+            steps = [(s.rule, s.before, s.after) for s in result.trace]
+            assert (result.stem, steps) == _oracle_walk(
+                rs, w, ALL_CLASSES, chain
+            )
+        for helper, classes in (
+            (strip_plural, {SuffixClass.PLURAL}),
+            (adjectival_to_verb, {SuffixClass.ADJECTIVAL_PARTICIPLE}),
+            (
+                strip_tense,
+                {
+                    SuffixClass.TENSE,
+                    SuffixClass.NEGATIVE_COMPOUND,
+                    SuffixClass.PERSON_NUMBER_GENDER,
+                },
+            ),
+        ):
+            stem, _ = _oracle_walk(rs, w, classes, chain=False, max_steps=1)
+            assert helper(w, rs) == stem
