@@ -47,6 +47,10 @@ EX_USAGE = 64
 EX_DATA = 65
 EX_NOINPUT = 66
 
+# Most distinct tokens one ``stem`` run remembers the output of (a few
+# MB of strings at most).
+_STEM_MEMO_SIZE = 8192
+
 
 class _UsageError(Exception):
     """Raised instead of argparse's default sys.exit on bad flags."""
@@ -191,28 +195,44 @@ def _load_gold_entries(path, stdin):
     return entries
 
 
+def _stem_text(token: str, result, trace: bool) -> str:
+    """What ``stem`` writes for *token*: its line, then any trace lines."""
+    text = f"{token}\t{result.stem.text}\n"
+    if trace:
+        for step in result.trace:
+            text += (
+                f"# {step.rule.klass}\t{step.rule.pattern.text}\t"
+                f"{step.rule.replacement.text}\t{step.after.text}\n"
+            )
+    return text
+
+
 def _cmd_stem(args, stdin, stdout) -> int:
     rules = _load_rules(args.rules)
     engine = ENGINES[args.algo]
+    write = stdout.write
+    # Running text repeats a few word forms, so each distinct token is
+    # stemmed once per run.  A failing token is never stored, so the
+    # error names the first line that carries it.
+    memo: dict[str, str] = {}
     for lineno, raw in _stdin_lines(stdin):
         token = raw.strip()
         if not token:
-            print("", file=stdout)
+            write("\n")
             continue
-        try:
-            result = engine(token, rules)
-        except ValueError as exc:  # a lone surrogate from a failed decode
-            raise _CliError(
-                EX_DATA, f"<stdin>: line {lineno}: not valid UTF-8 ({exc})"
-            ) from None
-        print(f"{token}\t{result.stem.text}", file=stdout)
-        if args.trace:
-            for step in result.trace:
-                print(
-                    f"# {step.rule.klass}\t{step.rule.pattern.text}\t"
-                    f"{step.rule.replacement.text}\t{step.after.text}",
-                    file=stdout,
-                )
+        text = memo.get(token)
+        if text is None:
+            try:
+                result = engine(token, rules)
+            except ValueError as exc:  # a lone surrogate from a failed decode
+                raise _CliError(
+                    EX_DATA, f"<stdin>: line {lineno}: not valid UTF-8 ({exc})"
+                ) from None
+            text = _stem_text(token, result, args.trace)
+            if len(memo) >= _STEM_MEMO_SIZE:
+                memo.clear()
+            memo[token] = text
+        write(text)
     return EX_OK
 
 

@@ -42,9 +42,12 @@ def normalize(text: str) -> str:
     Idempotent.  Rejects strings carrying lone surrogates (the residue of
     a failed byte decode) rather than letting them propagate.
     """
-    for i, ch in enumerate(text):
-        if "\ud800" <= ch <= "\udfff":
-            raise ValueError(f"malformed text: lone surrogate at offset {i}")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # UTF-8 encodes all but surrogates
+        raise ValueError(
+            f"malformed text: lone surrogate at offset {exc.start}"
+        ) from None
     return unicodedata.normalize("NFC", text)
 
 

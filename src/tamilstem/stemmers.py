@@ -112,10 +112,20 @@ def stem_batch(
     rules: RuleSet | None = None,
     engine=strip_stem,
 ) -> list[StemResult]:
-    """Elementwise stemming; output order matches input order."""
+    """Elementwise stemming; output order matches input order.
+
+    Each distinct input is stemmed once per call, so equal inputs share
+    one (frozen) ``StemResult`` object.
+    """
     if rules is None:
         rules = builtin_rules()
-    return [engine(w, rules) for w in words]
+    results: dict[GraphemeWord | str, StemResult] = {}
+    out = []
+    for w in words:
+        if w not in results:
+            results[w] = engine(w, rules)
+        out.append(results[w])
+    return out
 
 
 def strip_plural(

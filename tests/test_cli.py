@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, pipes, and exit codes."""
 
+import collections
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import sys
 import pytest
 
 import tamilstem
+from tamilstem import cli
 from tamilstem.cli import (
     EX_DATA,
     EX_NOINPUT,
@@ -17,6 +20,9 @@ from tamilstem.cli import (
     EX_USAGE,
     main,
 )
+from tamilstem.paradigm import build_corpus
+from tamilstem.rules import builtin_rules, parse_rules
+from tamilstem.stemmers import ENGINES
 
 GOLD_TEXT = "பெண்கள்\tபெண்\nமரங்கள்\tமரம்\nபடித்தேன்\tபடி\n"
 
@@ -347,3 +353,105 @@ def test_rules_validate_rejects_a_dead_pattern(tmp_path):
     code, out, _ = run_cli(["rules-validate", str(path)])
     assert code == EX_DATA
     assert out.startswith("line 2: pattern 'ா' starts with a vowel sign")
+
+
+# Rules for --rules runs: a Tamil and a romanized case ending, each
+# chained to a plural rule, so traces can have two steps.
+_CUSTOM_RULES = (
+    "Case\tஉக்கு\t\t1\tPlural\n"
+    "Plural\tங்கள்\tம்\t1\t\n"
+    "Case\ting\t\t1\tPlural\n"
+    "Plural\ts\t\t1\t\n"
+)
+
+
+def _stem_oracle(algo, trace, rules, text):
+    """``stem`` output built line by line, with no memo."""
+    engine = ENGINES[algo]
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    out = []
+    for i, line in enumerate(lines):
+        token = (line.removeprefix("\ufeff") if i == 0 else line).strip()
+        if not token:
+            out.append("\n")
+            continue
+        result = engine(token, rules)
+        out.append(f"{token}\t{result.stem.text}\n")
+        if trace:
+            out.extend(
+                f"# {s.rule.klass}\t{s.rule.pattern.text}\t"
+                f"{s.rule.replacement.text}\t{s.after.text}\n"
+                for s in result.trace
+            )
+    return "".join(out)
+
+
+def _zipf_stream(seed, n_lines):
+    """Running text: heavy repeats, blank lines, a BOM, CRLF endings and
+    random fuzz words."""
+    rng = random.Random(seed)
+    vocab = sorted({s.text for s, _ in build_corpus()})[:300]
+    vocab += ["cats", "catsing", "singing", "x"]
+    weights = [1 / (rank + 1) for rank in range(len(vocab))]
+    letters = [chr(c) for c in range(0x0B82, 0x0BD8)] + list("abgins ")
+    lines = []
+    for _ in range(n_lines):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(["", "  ", "\t"]))
+        elif roll < 0.15:
+            lines.append("".join(rng.choices(letters, k=rng.randint(1, 9))))
+        else:
+            lines.append(rng.choices(vocab, weights)[0])
+    ends = [rng.choice(["\n", "\r\n"]) for _ in lines]
+    return "\ufeff" + "".join(l + e for l, e in zip(lines, ends))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("algo", ["light", "strip"])
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("custom", [False, True])
+def test_stem_matches_a_line_by_line_oracle(tmp_path, seed, algo, trace, custom):
+    text = _zipf_stream(seed, 600)
+    argv = ["stem", "--algo", algo] + (["--trace"] if trace else [])
+    rules = builtin_rules()
+    if custom:
+        path = tmp_path / "rules.tsv"
+        path.write_text(_CUSTOM_RULES, encoding="utf-8")
+        argv += ["--rules", str(path)]
+        rules = parse_rules(_CUSTOM_RULES)
+    code, out, err = run_cli(argv, text)
+    assert (code, err) == (EX_OK, "")
+    assert out == _stem_oracle(algo, trace, rules, text)
+
+
+def test_stem_stems_each_distinct_token_once(monkeypatch):
+    calls = collections.Counter()
+    light = ENGINES["light"]
+
+    def counting(token, rules):
+        calls[token] += 1
+        return light(token, rules)
+
+    monkeypatch.setitem(cli.ENGINES, "light", counting)
+    text = _zipf_stream(4, 400)
+    code, out, _ = run_cli(["stem", "--trace"], text)
+    assert code == EX_OK
+    assert calls and set(calls.values()) == {1}
+
+    calls.clear()
+    monkeypatch.setattr(cli, "_STEM_MEMO_SIZE", 2)
+    code, bounded, _ = run_cli(["stem", "--trace"], text)
+    assert (code, bounded) == (EX_OK, out)
+    assert max(calls.values()) > 1
+
+
+def test_stem_error_names_the_first_line_of_a_bad_token():
+    bad = "க\udcffள்"
+    text = f"மரம்\nமரங்கள்\n{bad}\nமரம்\n{bad}\n"
+    code, out, err = run_cli(["stem"], text)
+    assert code == EX_DATA
+    assert out == "மரம்\tமரம்\nமரங்கள்\tமரம்\n"
+    assert err.startswith("tamilstem: error: <stdin>: line 3: ")

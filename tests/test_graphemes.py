@@ -78,6 +78,29 @@ def test_normalize_rejects_lone_surrogates():
         normalize("a\ud800b")
 
 
+def _surrogate_message(text):
+    """The error of a code-point-by-code-point surrogate scan."""
+    for i, ch in enumerate(text):
+        if "\ud800" <= ch <= "\udfff":
+            return f"malformed text: lone surrogate at offset {i}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\udc80மரம்",                 # at the start
+        "மர\ud800ம்",                 # in the middle
+        "\U0001f600க\udfff",          # after an astral character
+        "ab\ud83d\ude00",             # a pair spelled as two code points
+    ],
+)
+def test_normalize_names_the_first_surrogate_by_code_point(text):
+    with pytest.raises(ValueError) as info:
+        normalize(text)
+    assert str(info.value) == _surrogate_message(text)
+
+
 def test_segment_absorbs_combining_marks_outside_tamil():
     # Latin base + combining acute stays one unit.
     assert segment("éx").graphemes == ("é", "x")

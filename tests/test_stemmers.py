@@ -69,6 +69,20 @@ def test_stem_batch_matches_individual_calls():
     assert stem_batch([]) == []
 
 
+def test_stem_batch_shares_results_for_equal_inputs():
+    rules = builtin_rules()
+    texts = [s for s, _ in STRIP_CASES] + ["hello"]
+    rng = random.Random(5)
+    inputs = [rng.choice(texts) for _ in range(60)]
+    inputs += [word(t) for t in rng.choices(texts, k=20)]
+    for engine in (light_stem, strip_stem):
+        batch = stem_batch(inputs, rules, engine)
+        assert batch == [engine(w, rules) for w in inputs]
+        first = {}
+        for w, result in zip(inputs, batch):
+            assert first.setdefault(w, result) is result
+
+
 def test_strip_plural_single_step():
     assert strip_plural("பெண்கள்").text == "பெண்"
     assert strip_plural("மரங்கள்").text == "மரம்"
