@@ -195,6 +195,13 @@ def _load_gold_entries(path, stdin):
     return entries
 
 
+def _reject_tab(text: str, lineno: int, what: str) -> None:
+    """Refuse a *what* with an inner tab: its output line would carry
+    more than the two tab-separated fields gold files have."""
+    if "\t" in text:
+        raise _CliError(EX_DATA, f"<stdin>: line {lineno}: tab inside a {what}")
+
+
 def _stem_text(token: str, result, trace: bool) -> str:
     """What ``stem`` writes for *token*: its line, then any trace lines."""
     text = f"{token}\t{result.stem.text}\n"
@@ -222,6 +229,7 @@ def _cmd_stem(args, stdin, stdout) -> int:
             continue
         text = memo.get(token)
         if text is None:
+            _reject_tab(token, lineno, "word")
             try:
                 result = engine(token, rules)
             except ValueError as exc:  # a lone surrogate from a failed decode
@@ -281,6 +289,7 @@ def _cmd_generate(args, stdin, stdout) -> int:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        _reject_tab(line, lineno, "root")
         try:
             pairs = generate_forms(line, args.paradigm)
         except ValueError as exc:

@@ -11,8 +11,16 @@ letters only.
 Text in other scripts degrades gracefully: a base character absorbs any
 following combining marks, so ASCII romanizations segment one letter per
 character and the engine works on them unchanged.
+
+``segment`` splits text with one compiled regular expression when every
+code point is below U+0300, in the Tamil block (U+0B80..U+0BFF), or a
+zero-width joiner or non-joiner: in that range the combining marks are
+known at import.  Any other text goes through ``_segment_slow``, the
+per-code-point loop that asks ``unicodedata`` about each character; the
+tests check the regular expression against it.
 """
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -30,6 +38,31 @@ _DEPENDENT_SIGNS = frozenset(
 ) | {"ௗ"}
 
 _ZERO_WIDTH_JOINERS = frozenset("‌‍")
+
+# The combining marks (Mn, Mc, Me) of the Tamil block.  No code point
+# below U+0300 is one, so with the joiners these are all the marks a base
+# character can absorb in text that `_OUTSIDE_FAST_RANGE` does not match.
+_TAMIL_MARKS = frozenset(
+    chr(c) for c in range(0x0B80, 0x0C00)
+    if unicodedata.category(chr(c)) in ("Mn", "Mc", "Me")
+)
+
+
+def _char_class(chars) -> str:
+    return "[" + re.escape("".join(sorted(chars))) + "]"
+
+
+# Matches a code point outside the range the regular expression handles.
+_OUTSIDE_FAST_RANGE = re.compile(r"[^\x00-\u02ff\u0b80-\u0bff\u200c\u200d]")
+# One letter, as `_segment_slow` clusters it: a consonant with its
+# dependent signs, an independent vowel or aytham with any AU length
+# mark, or any other character with its combining marks and joiners.
+_LETTER = re.compile(
+    _char_class(_CONSONANTS) + _char_class(_DEPENDENT_SIGNS) + "*"
+    "|" + _char_class(_INDEPENDENT_VOWELS | {_AYTHAM}) + "ௗ*"
+    "|." + _char_class(_TAMIL_MARKS | _ZERO_WIDTH_JOINERS) + "*",
+    re.DOTALL,
+)
 
 # A byte-order mark that editors put at the start of a file; readers
 # drop it so it does not become part of the first field.
@@ -58,8 +91,24 @@ class GraphemeWord:
     Invariant: ``"".join(graphemes) == text`` and *text* is NFC.
     """
 
+    # Declared by hand, not with ``slots=True``: that rebuilds the class,
+    # and the rebuilt class's frozen __setattr__ raises TypeError instead
+    # of FrozenInstanceError for an unknown attribute (seen on Python 3.11).
+    __slots__ = ("graphemes", "text")
     graphemes: tuple[str, ...]
     text: str
+
+    # Stores through the slot descriptors: the __init__ a frozen
+    # dataclass generates calls object.__setattr__ per field, which
+    # costs about as much as a rule lookup.
+    def __init__(self, graphemes: tuple[str, ...], text: str):
+        _set_graphemes(self, graphemes)
+        _set_text(self, text)
+
+    # Pickle and copy through __init__: the default restores slots with
+    # setattr, which a frozen class refuses.
+    def __reduce__(self):
+        return GraphemeWord, (self.graphemes, self.text)
 
     def __len__(self) -> int:
         return len(self.graphemes)
@@ -74,6 +123,10 @@ class GraphemeWord:
         return ends_with(self, suffix)
 
 
+_set_graphemes = GraphemeWord.graphemes.__set__
+_set_text = GraphemeWord.text.__set__
+
+
 def segment(text: str) -> GraphemeWord:
     """Split normalized *text* into orthographic letters.
 
@@ -82,7 +135,21 @@ def segment(text: str) -> GraphemeWord:
     Any other base character absorbs following combining marks and
     joiners, which is enough for romanized fixtures and incidental
     non-Tamil input.
+
+    Text whose code points all lie below U+0300, in the Tamil block or
+    among the zero-width joiners is split by one regular expression;
+    other text goes through `_segment_slow`, which gives the same letters
+    for every input.
     """
+    if _OUTSIDE_FAST_RANGE.search(text) is None:
+        return GraphemeWord(tuple(_LETTER.findall(text)), text)
+    return _segment_slow(text)
+
+
+def _segment_slow(text: str) -> GraphemeWord:
+    """`segment` one code point at a time, asking ``unicodedata`` about
+    each possible mark: the reference the regular expression is tested
+    against."""
     clusters: list[str] = []
     i = 0
     n = len(text)

@@ -448,6 +448,26 @@ def test_stem_stems_each_distinct_token_once(monkeypatch):
     assert max(calls.values()) > 1
 
 
+@pytest.mark.parametrize(
+    "argv,text,out,what",
+    [
+        (["stem"], "மரங்கள்\nமரங்கள்\tபெண்கள்\n", "மரங்கள்\tமரம்\n", "word"),
+        (
+            ["stem", "--trace"],
+            "மரங்கள்\nமரங்கள்\tபெண்கள்\n",
+            "மரங்கள்\tமரம்\n# Plural\tங்கள்\tம்\tமரம்\n",
+            "word",
+        ),
+        (["generate", "--paradigm", "noun"], "# roots\nமரம்\tபெண்\n", "", "root"),
+    ],
+    ids=["stem", "stem-trace", "generate"],
+)
+def test_inner_tab_exits_65(argv, text, out, what):
+    code, got, err = run_cli(argv, text)
+    assert (code, got) == (EX_DATA, out)
+    assert err == f"tamilstem: error: <stdin>: line 2: tab inside a {what}\n"
+
+
 def test_stem_error_names_the_first_line_of_a_bad_token():
     bad = "க\udcffள்"
     text = f"மரம்\nமரங்கள்\n{bad}\nமரம்\n{bad}\n"

@@ -1,5 +1,6 @@
 """Letter segmentation and normalization."""
 
+import itertools
 import unicodedata
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tamilstem.graphemes import (
     GraphemeWord,
+    _segment_slow,
     ends_with,
     is_tamil,
     normalize,
@@ -165,3 +167,50 @@ def test_property_tamil_clusters_have_one_base(text):
         ]
         # At most one spacing base per cluster (the au-mark U+0BD7 is Mc).
         assert len(bases) <= 1 or not is_tamil(GraphemeWord((cluster,), cluster))
+
+
+# Letters for checking `segment` against `_segment_slow`: Tamil
+# consonants, signs, vowels and aytham, the anusvara U+0B82 and the AU
+# length mark U+0BD7, the joiners, ASCII and a newline, plus the first
+# combining mark U+0300, a combining acute, a Devanagari vowel sign and
+# an astral letter, which send the text to the loop.
+_ORACLE_ALPHABET = (
+    "கஙசடணதநபமயரலவழளறன"
+    "\u0bbe\u0bbf\u0bc0\u0bc1\u0bc2\u0bc6\u0bc7\u0bc8\u0bca\u0bcb\u0bcc\u0bcd"
+    "அஆஇஉஎஐஒஔஃ\u0b82\u0bd7"
+    "\u200c\u200d"
+    "aZ0 -\t\n"
+    "\u0300\u0301\u093f\U0001d400"
+)
+
+
+@settings(max_examples=1000, derandomize=True)
+@given(st.text(alphabet=st.sampled_from(_ORACLE_ALPHABET), max_size=16))
+def test_property_segment_matches_the_slow_loop(text):
+    assert segment(text) == _segment_slow(text)
+
+
+def test_segment_matches_the_slow_loop_on_every_short_string():
+    letters = (
+        "கமழந\u0bbe\u0bbf\u0bc1\u0bc6\u0bc8\u0bca\u0bcc\u0bcd"
+        "அஇஉஐஒஃ\u0b82\u0bd7\u200c\u200d"
+        "a \t\n\u0300\u0301\u093f\U0001d400"
+    )
+    assert len(set(letters)) == len(letters) == 30
+    for n in range(4):
+        for chars in itertools.product(letters, repeat=n):
+            text = "".join(chars)
+            assert segment(text) == _segment_slow(text), ascii(text)
+
+
+def test_segment_matches_the_slow_loop_after_each_code_point_of_the_fast_range():
+    # Every code point the regular expression may see, and the combining
+    # marks just above U+0300 that it must not, after and before each
+    # kind of base, so a mark missing from its classes shows.
+    fast_range = itertools.chain(
+        range(0x0000, 0x0370), range(0x0B80, 0x0C00), (0x200C, 0x200D)
+    )
+    for c in map(chr, fast_range):
+        for base in ("a", "க", "அ", "\u0b82"):
+            for text in (base + c, c + base):
+                assert segment(text) == _segment_slow(text), ascii(text)

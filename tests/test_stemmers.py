@@ -1,13 +1,20 @@
 """Both stemming engines and the single-layer helpers."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import unicodedata
 
-from tamilstem.graphemes import word
+import pytest
+
+from tamilstem.graphemes import GraphemeWord, word
 from tamilstem.paradigm import build_corpus
 from tamilstem.rules import SuffixClass, builtin_rules, parse_rules
 from tamilstem.stemmers import (
     ENGINES,
+    StemResult,
+    StemStep,
     adjectival_to_verb,
     light_stem,
     stem_batch,
@@ -204,3 +211,46 @@ def test_light_idempotent_on_paradigm_corpus():
     for surface, _ in build_corpus():
         once = light_stem(surface, rules).stem
         assert light_stem(once, rules).stem == once
+
+
+def _value_cases():
+    """(class, field names, two equal instances, a third that differs)."""
+    plural, tense = light_stem("மரங்கள்"), light_stem("படித்தேன்")
+    tree, trees = word("மரம்"), word("மரங்கள்")
+    step = plural.trace[0]
+    return [
+        (GraphemeWord, ("graphemes", "text"),
+         tree, GraphemeWord(("ம", "ர", "ம்"), "மரம்"), trees),
+        (StemStep, ("rule", "before", "after"),
+         step, StemStep(step.rule, trees, tree), tense.trace[0]),
+        (StemResult, ("word", "stem", "trace"),
+         plural, StemResult(trees, tree, (step,)), tense),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls,names,one,same,other",
+    _value_cases(),
+    ids=["GraphemeWord", "StemStep", "StemResult"],
+)
+def test_value_classes_keep_frozen_dataclass_semantics(
+    cls, names, one, same, other
+):
+    assert one == same and one is not same and one != other
+    assert hash(one) == hash(same)
+    assert cls(**{n: getattr(one, n) for n in names}) == one
+    assert [f.name for f in dataclasses.fields(one)] == list(names)
+    assert repr(one) == f"{cls.__name__}(" + ", ".join(
+        f"{n}={getattr(one, n)!r}" for n in names
+    ) + ")"
+    for name in (*names, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(one, name, getattr(other, name, None))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(one, names[0])
+    replaced = dataclasses.replace(one, **{names[-1]: getattr(other, names[-1])})
+    assert getattr(replaced, names[-1]) == getattr(other, names[-1])
+    assert getattr(replaced, names[0]) is getattr(one, names[0])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(one, protocol)) == one
+    assert copy.deepcopy(one) == one and copy.copy(one) == one
