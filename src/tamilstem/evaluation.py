@@ -17,12 +17,11 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .graphemes import _BOM, GraphemeWord, _as_word, _packaged_text, word
+from .graphemes import _BOM, GraphemeWord, _as_word, _packaged_text, _record, word
 from .paradigm import build_corpus
 from .rules import RuleSet, builtin_rules
 from .stemmers import light_stem, strip_stem
@@ -49,7 +48,7 @@ class GoldConflictWarning(UserWarning):
     """Duplicate surfaces with different expected stems."""
 
 
-@dataclass(frozen=True)
+@_record
 class GoldEntry:
     """One labelled example: an inflected surface and its expected stem."""
 
@@ -57,7 +56,7 @@ class GoldEntry:
     expected_stem: GraphemeWord
 
 
-@dataclass(frozen=True)
+@_record
 class DatasetStats:
     """Word counts and length range of a word list."""
 
@@ -67,7 +66,7 @@ class DatasetStats:
     max_len: int
 
 
-@dataclass(frozen=True)
+@_record
 class EvalRow:
     """Both engines' scores over one cumulative chunk."""
 
@@ -79,7 +78,7 @@ class EvalRow:
     acc_light: Fraction
 
 
-@dataclass(frozen=True)
+@_record
 class EvalReport:
     """Chunk rows plus arithmetic-mean averages (None when empty)."""
 

@@ -84,31 +84,53 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Make *cls* a frozen dataclass with one slot per annotated field.
+
+    The class is rebuilt with ``__slots__`` before ``dataclass`` sees it,
+    not with ``slots=True``: that rebuilds it afterwards, and the rebuilt
+    class's frozen ``__setattr__`` still names the old class, so it raises
+    TypeError instead of FrozenInstanceError for an unknown attribute
+    (seen on Python 3.11).  The generated ``__init__`` stores through the
+    slot descriptors, because the one a frozen dataclass writes calls
+    ``object.__setattr__`` per field, which costs about as much as a rule
+    lookup.  ``__reduce__`` pickles and copies through ``__init__``; the
+    default restores slots with setattr, which a frozen class refuses.
+    """
+    names = tuple(cls.__annotations__)
+    body = {
+        k: v
+        for k, v in cls.__dict__.items()
+        if k not in ("__dict__", "__weakref__")
+    }
+    body["__slots__"] = names
+    body["__qualname__"] = cls.__qualname__
+    cls = dataclass(frozen=True, init=False)(
+        type(cls)(cls.__name__, cls.__bases__, body)
+    )
+    namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    namespace["cls"] = cls
+    exec(
+        f"def __init__(self, {', '.join(names)}):\n"
+        + "".join(f"    _set_{n}(self, {n})\n" for n in names)
+        + "def __reduce__(self):\n"
+        + f"    return cls, ({''.join(f'self.{n}, ' for n in names)})\n",
+        namespace,
+    )
+    cls.__init__ = namespace["__init__"]
+    cls.__reduce__ = namespace["__reduce__"]
+    return cls
+
+
+@_record
 class GraphemeWord:
     """A word as an ordered sequence of orthographic letters.
 
     Invariant: ``"".join(graphemes) == text`` and *text* is NFC.
     """
 
-    # Declared by hand, not with ``slots=True``: that rebuilds the class,
-    # and the rebuilt class's frozen __setattr__ raises TypeError instead
-    # of FrozenInstanceError for an unknown attribute (seen on Python 3.11).
-    __slots__ = ("graphemes", "text")
     graphemes: tuple[str, ...]
     text: str
-
-    # Stores through the slot descriptors: the __init__ a frozen
-    # dataclass generates calls object.__setattr__ per field, which
-    # costs about as much as a rule lookup.
-    def __init__(self, graphemes: tuple[str, ...], text: str):
-        _set_graphemes(self, graphemes)
-        _set_text(self, text)
-
-    # Pickle and copy through __init__: the default restores slots with
-    # setattr, which a frozen class refuses.
-    def __reduce__(self):
-        return GraphemeWord, (self.graphemes, self.text)
 
     def __len__(self) -> int:
         return len(self.graphemes)
@@ -118,13 +140,6 @@ class GraphemeWord:
 
     def __str__(self) -> str:
         return self.text
-
-    def ends_with(self, suffix: "GraphemeWord") -> bool:
-        return ends_with(self, suffix)
-
-
-_set_graphemes = GraphemeWord.graphemes.__set__
-_set_text = GraphemeWord.text.__set__
 
 
 def segment(text: str) -> GraphemeWord:

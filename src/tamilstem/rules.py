@@ -35,6 +35,7 @@ from .graphemes import (
     _ZERO_WIDTH_JOINERS,
     GraphemeWord,
     _packaged_text,
+    _record,
     normalize,
     segment,
 )
@@ -48,6 +49,15 @@ class SuffixClass(enum.Enum):
     TENSE = "Tense"
     PERSON_NUMBER_GENDER = "PersonNumberGender"
     NEGATIVE_COMPOUND = "NegativeCompound"
+
+    def __init__(self, value: str):
+        # Hashed from the value's bytes, not by string hashing, which
+        # varies with PYTHONHASHSEED: a frozenset of classes then prints
+        # in the same order in every process.
+        self._hash = hash(int.from_bytes(value.encode(), "big"))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.value
@@ -82,18 +92,16 @@ class RuleConflictError(RuleError):
         self.second_line = second_line
 
 
-@dataclass(frozen=True)
+@_record
 class SuffixRule:
+    """One rule-file line; *order* is its position among the rules."""
+
     klass: SuffixClass
     pattern: GraphemeWord
     replacement: GraphemeWord
     min_stem: int
     next_classes: frozenset[SuffixClass]
     order: int
-
-    def stem_length_after(self, word_len: int) -> int:
-        """Letters left if this rule is applied to a word of *word_len*."""
-        return word_len - len(self.pattern) + len(self.replacement)
 
 
 # A suffix-index entry: (rule, its class bit, the mask of its
@@ -108,14 +116,38 @@ class RuleSet:
     """Immutable, validated rule collection."""
 
     rules: tuple[SuffixRule, ...]
-    # The suffix index: pattern letters -> entries in file order, and
-    # final letter -> the pattern lengths ending in it, longest first.
+    # The suffix index, compiled from *rules*: pattern letters -> entries
+    # in file order, and final letter -> the pattern lengths ending in
+    # it, longest first.
     _index: dict[tuple[str, ...], tuple[_Entry, ...]] = field(
-        compare=False, repr=False, default_factory=dict
+        init=False, compare=False, repr=False
     )
     _lengths: dict[str, tuple[int, ...]] = field(
-        compare=False, repr=False, default_factory=dict
+        init=False, compare=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        index: dict[tuple[str, ...], list[_Entry]] = {}
+        lengths: dict[str, set[int]] = {}
+        for rule in self.rules:
+            pattern = rule.pattern.graphemes
+            index.setdefault(pattern, []).append(
+                (
+                    rule,
+                    _BIT[rule.klass],
+                    _class_mask(rule.next_classes),
+                    rule.min_stem + len(pattern) - len(rule.replacement),
+                    _merges(rule.replacement.text),
+                )
+            )
+            lengths.setdefault(pattern[-1], set()).add(len(pattern))
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "_index", {p: tuple(es) for p, es in index.items()})
+        set_field(
+            self,
+            "_lengths",
+            {last: tuple(sorted(ks, reverse=True)) for last, ks in lengths.items()},
+        )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -137,30 +169,6 @@ def _merges(replacement: str) -> bool:
     return bool(replacement) and (
         unicodedata.category(replacement[0]) in ("Mn", "Mc", "Me")
         or replacement[0] in _ZERO_WIDTH_JOINERS
-    )
-
-
-def _build_ruleset(rules: list[SuffixRule]) -> RuleSet:
-    """Index *rules*, which come in file order (``order`` ascending)."""
-    ordered = tuple(rules)
-    index: dict[tuple[str, ...], list[_Entry]] = {}
-    lengths: dict[str, set[int]] = {}
-    for rule in ordered:
-        pattern = rule.pattern.graphemes
-        index.setdefault(pattern, []).append(
-            (
-                rule,
-                _BIT[rule.klass],
-                _class_mask(rule.next_classes),
-                rule.min_stem + len(pattern) - len(rule.replacement),
-                _merges(rule.replacement.text),
-            )
-        )
-        lengths.setdefault(pattern[-1], set()).add(len(pattern))
-    return RuleSet(
-        ordered,
-        {pattern: tuple(entries) for pattern, entries in index.items()},
-        {last: tuple(sorted(ks, reverse=True)) for last, ks in lengths.items()},
     )
 
 
@@ -241,7 +249,7 @@ def parse_rules(text: str) -> RuleSet:
     rules, problems = _scan(text)
     if problems:
         raise problems[0]
-    return _build_ruleset(rules)
+    return RuleSet(tuple(rules))
 
 
 def validate_rules(text: str) -> list[str]:

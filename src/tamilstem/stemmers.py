@@ -16,9 +16,7 @@ Both engines leave unmatched words untouched, including non-Tamil input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphemes import GraphemeWord, _as_word
+from .graphemes import GraphemeWord, _as_word, _record
 from .rules import (
     ALL_CLASSES,
     RuleSet,
@@ -43,54 +41,22 @@ _TENSE_LAYER = _class_mask(
 )
 
 
-# Both classes are built like GraphemeWord: slots, an __init__ that
-# stores through the slot descriptors, and a __reduce__ for pickling.
-@dataclass(frozen=True)
+@_record
 class StemStep:
     """One applied rule: the word before and after the application."""
 
-    __slots__ = ("rule", "before", "after")
     rule: SuffixRule
     before: GraphemeWord
     after: GraphemeWord
 
-    def __init__(
-        self, rule: SuffixRule, before: GraphemeWord, after: GraphemeWord
-    ):
-        _set_rule(self, rule)
-        _set_before(self, before)
-        _set_after(self, after)
 
-    def __reduce__(self):
-        return StemStep, (self.rule, self.before, self.after)
-
-
-@dataclass(frozen=True)
+@_record
 class StemResult:
     """Final stem plus the ordered trace of rule applications."""
 
-    __slots__ = ("word", "stem", "trace")
     word: GraphemeWord
     stem: GraphemeWord
     trace: tuple[StemStep, ...]
-
-    def __init__(
-        self, word: GraphemeWord, stem: GraphemeWord, trace: tuple[StemStep, ...]
-    ):
-        _set_word(self, word)
-        _set_stem(self, stem)
-        _set_trace(self, trace)
-
-    def __reduce__(self):
-        return StemResult, (self.word, self.stem, self.trace)
-
-
-_set_rule = StemStep.rule.__set__
-_set_before = StemStep.before.__set__
-_set_after = StemStep.after.__set__
-_set_word = StemResult.word.__set__
-_set_stem = StemResult.stem.__set__
-_set_trace = StemResult.trace.__set__
 
 
 def _walk(

@@ -1,13 +1,20 @@
 """Rule file parsing, validation, and matching."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tamilstem
 from tamilstem.graphemes import ends_with, segment, word
 from tamilstem.rules import (
     ALL_CLASSES,
     RuleConflictError,
     RuleError,
+    RuleSet,
     SuffixClass,
     apply_rule,
     builtin_rules,
@@ -210,15 +217,50 @@ def _oracle_walk(rs, w, allowed, chain, max_steps=None):
     return w, steps
 
 
+_SAMPLE_WORDS = ("படித்தேன்", "மரங்கள்", "பெண்கள்உக்கு", "ஓடுக்கும்",
+                 "மரத்இல்", "படி", "hello", "மரம்ஏ")
+
+
 def test_candidates_matches_linear_scan():
     rs = builtin_rules()
-    words = ["படித்தேன்", "மரங்கள்", "பெண்கள்உக்கு", "ஓடுக்கும்",
-             "மரத்இல்", "படி", "hello", "மரம்ஏ"]
-    for text in words:
+    for text in _SAMPLE_WORDS:
         w = word(text)
         assert candidates(rs, w, ALL_CLASSES) == _oracle_candidates(
             rs, w, ALL_CLASSES
         )
+
+
+def test_a_directly_built_or_replaced_ruleset_indexes_its_own_rules():
+    builtin = builtin_rules()
+    direct = RuleSet(builtin.rules)
+    fewer = dataclasses.replace(builtin, rules=builtin.rules[:5])
+    for text in _SAMPLE_WORDS:
+        assert light_stem(text, direct) == light_stem(text, builtin)
+        assert strip_stem(text, direct) == strip_stem(text, builtin)
+        w = word(text)
+        assert candidates(fewer, w, ALL_CLASSES) == _oracle_candidates(
+            fewer, w, ALL_CLASSES
+        )
+
+
+def test_repr_is_the_same_under_every_hash_seed():
+    code = (
+        "import tamilstem as ts; print(repr(ts.builtin_rules())); "
+        "print(repr(ts.light_stem('மரங்கள்உக்கு')))"
+    )
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tamilstem.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_apply_rule_strips_and_replaces():

@@ -6,11 +6,20 @@ import pickle
 import random
 import unicodedata
 
+from fractions import Fraction
+
 import pytest
 
+from tamilstem.evaluation import (
+    DatasetStats,
+    EvalReport,
+    EvalRow,
+    GoldEntry,
+    dataset_stats,
+)
 from tamilstem.graphemes import GraphemeWord, word
 from tamilstem.paradigm import build_corpus
-from tamilstem.rules import SuffixClass, builtin_rules, parse_rules
+from tamilstem.rules import SuffixClass, SuffixRule, builtin_rules, parse_rules
 from tamilstem.stemmers import (
     ENGINES,
     StemResult,
@@ -218,6 +227,8 @@ def _value_cases():
     plural, tense = light_stem("மரங்கள்"), light_stem("படித்தேன்")
     tree, trees = word("மரம்"), word("மரங்கள்")
     step = plural.trace[0]
+    rule, next_rule = builtin_rules().rules[:2]
+    row = EvalRow(10, 8, 7, 6, Fraction(175, 2), Fraction(75))
     return [
         (GraphemeWord, ("graphemes", "text"),
          tree, GraphemeWord(("ம", "ர", "ம்"), "மரம்"), trees),
@@ -225,13 +236,37 @@ def _value_cases():
          step, StemStep(step.rule, trees, tree), tense.trace[0]),
         (StemResult, ("word", "stem", "trace"),
          plural, StemResult(trees, tree, (step,)), tense),
+        (SuffixRule,
+         ("klass", "pattern", "replacement", "min_stem", "next_classes",
+          "order"),
+         rule,
+         SuffixRule(rule.klass, word(rule.pattern.text),
+                    word(rule.replacement.text), rule.min_stem,
+                    frozenset(rule.next_classes), rule.order),
+         next_rule),
+        (GoldEntry, ("surface", "expected_stem"),
+         GoldEntry(trees, tree), GoldEntry(word("மரங்கள்"), word("மரம்")),
+         GoldEntry(tree, tree)),
+        (DatasetStats, ("total_words", "unique_words", "min_len", "max_len"),
+         dataset_stats(["மரம்", "மரங்கள்", "மரம்"]), DatasetStats(3, 2, 3, 5),
+         dataset_stats(["படி"])),
+        (EvalRow,
+         ("n_words", "n_unique", "n_correct_strip", "n_correct_light",
+          "acc_strip", "acc_light"),
+         row, EvalRow(10, 8, 7, 6, Fraction(350, 4), Fraction(75, 1)),
+         EvalRow(20, 16, 15, 16, Fraction(375, 4), Fraction(100))),
+        (EvalReport, ("rows", "avg_strip", "avg_light"),
+         EvalReport((row,), row.acc_strip, row.acc_light),
+         EvalReport((row,), Fraction(175, 2), Fraction(75)),
+         EvalReport((), None, None)),
     ]
 
 
 @pytest.mark.parametrize(
     "cls,names,one,same,other",
     _value_cases(),
-    ids=["GraphemeWord", "StemStep", "StemResult"],
+    ids=["GraphemeWord", "StemStep", "StemResult", "SuffixRule", "GoldEntry",
+         "DatasetStats", "EvalRow", "EvalReport"],
 )
 def test_value_classes_keep_frozen_dataclass_semantics(
     cls, names, one, same, other
