@@ -29,7 +29,7 @@ from .evaluation import (
     render,
     REPORT_FORMATS,
 )
-from .graphemes import _BOM, _packaged_text
+from .graphemes import _data_lines, _lines, _packaged_text
 from .paradigm import PARADIGMS, generate_forms
 from .rules import (
     RuleConflictError,
@@ -159,18 +159,12 @@ def _read_file(path: str) -> str:
             EX_NOINPUT, f"cannot read {path}: {exc.strerror or exc}"
         ) from None
     try:
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise _CliError(
             EX_DATA, f"{path}: line {line}: not valid UTF-8 ({exc.reason})"
         ) from None
-
-
-def _stdin_lines(stdin):
-    """Numbered lines of *stdin*, without a leading byte-order mark."""
-    for lineno, line in enumerate(stdin, start=1):
-        yield lineno, line.removeprefix(_BOM) if lineno == 1 else line
 
 
 def _load_rules(path: "str | None") -> RuleSet:
@@ -222,7 +216,7 @@ def _cmd_stem(args, stdin, stdout) -> int:
     # stemmed once per run.  A failing token is never stored, so the
     # error names the first line that carries it.
     memo: dict[str, str] = {}
-    for lineno, raw in _stdin_lines(stdin):
+    for lineno, raw in _lines(stdin):
         token = raw.strip()
         if not token:
             write("\n")
@@ -285,17 +279,13 @@ def _cmd_rules_validate(args, stdin, stdout) -> int:
 
 
 def _cmd_generate(args, stdin, stdout) -> int:
-    for lineno, raw in _stdin_lines(stdin):
+    for lineno, raw in _data_lines(stdin):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         _reject_tab(line, lineno, "root")
         try:
             pairs = generate_forms(line, args.paradigm)
         except ValueError as exc:
-            raise _CliError(
-                EX_DATA, f"<stdin>: line {lineno}: {exc}"
-            ) from None
+            raise _CliError(EX_DATA, f"<stdin>: line {lineno}: {exc}") from None
         for surface, stem in pairs:
             print(f"{surface.text}\t{stem.text}", file=stdout)
     return EX_OK

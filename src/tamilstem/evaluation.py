@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .graphemes import _BOM, GraphemeWord, _as_word, _packaged_text, _record, word
+from .graphemes import GraphemeWord, _as_word, _data_lines, _packaged_text, _record, word
 from .paradigm import build_corpus
 from .rules import RuleSet, builtin_rules
 from .stemmers import light_stem, strip_stem
@@ -90,16 +90,11 @@ class EvalReport:
 def load_gold(text: str) -> list[GoldEntry]:
     """Parse ``surface<TAB>stem`` lines; ``#`` comments and blanks skip."""
     entries = []
-    lines = text.removeprefix(_BOM).splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    for lineno, line in _data_lines(text):
+        fields = line.strip().split("\t")
         if len(fields) != 2:
             raise GoldError(
-                lineno,
-                f"expected 2 tab-separated fields, got {len(fields)}",
+                lineno, f"expected 2 tab-separated fields, got {len(fields)}"
             )
         surface, stem = fields[0].strip(), fields[1].strip()
         if not surface or not stem:

@@ -64,11 +64,6 @@ _LETTER = re.compile(
     re.DOTALL,
 )
 
-# A byte-order mark that editors put at the start of a file; readers
-# drop it so it does not become part of the first field.
-_BOM = "\ufeff"
-
-
 def normalize(text: str) -> str:
     """Return the canonical composed (NFC) form of *text*.
 
@@ -220,3 +215,24 @@ def _packaged_text(name: str) -> str:
     """The UTF-8 text of a data file shipped in ``tamilstem/data``."""
     data = resources.files("tamilstem.data")
     return data.joinpath(name).read_text(encoding="utf-8")
+
+
+def _lines(source):
+    """Number from 1 the lines of *source*, a text or a stream of lines.
+
+    A line ends only at ``\\n``, and a leading byte-order mark is dropped.
+    Lines are not stripped: a CRLF ending leaves its ``\\r`` on the line.
+    """
+    lines = iter(source.split("\n") if isinstance(source, str) else source)
+    first = next(lines, None)
+    if first is not None:
+        yield 1, first.removeprefix("\ufeff")
+        yield from enumerate(lines, start=2)
+
+
+def _data_lines(source):
+    """`_lines` without the blank lines and ``#`` comments."""
+    for lineno, line in _lines(source):
+        text = line.lstrip()
+        if text and text[0] != "#":
+            yield lineno, line

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphemes import _BOM, GraphemeWord, _as_word, _packaged_text, word
+from .graphemes import GraphemeWord, _as_word, _data_lines, _packaged_text, word
 
 PARADIGMS = ("noun", "verb")
 
@@ -123,12 +123,8 @@ def load_roots(text: str) -> list[tuple[GraphemeWord, str]]:
     offending line number.
     """
     roots = []
-    lines = text.removeprefix(_BOM).splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    for lineno, line in _data_lines(text):
+        fields = line.strip().split("\t")
         if len(fields) != 2:
             raise ValueError(
                 f"line {lineno}: expected 2 tab-separated fields, "
@@ -137,7 +133,10 @@ def load_roots(text: str) -> list[tuple[GraphemeWord, str]]:
         root, paradigm = fields[0].strip(), fields[1].strip()
         if paradigm not in PARADIGMS:
             raise ValueError(f"line {lineno}: unknown paradigm: {paradigm!r}")
-        roots.append((word(root), paradigm))
+        try:
+            roots.append((word(root), paradigm))
+        except ValueError as exc:  # a lone surrogate from a failed decode
+            raise ValueError(f"line {lineno}: {exc}") from None
     return roots
 
 

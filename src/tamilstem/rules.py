@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graphemes import (
-    _BOM,
     _DEPENDENT_SIGNS,
     _ZERO_WIDTH_JOINERS,
     GraphemeWord,
+    _data_lines,
     _packaged_text,
     _record,
     normalize,
@@ -219,14 +219,14 @@ def _scan(text: str) -> tuple[list[SuffixRule], list[RuleError]]:
     rules: list[SuffixRule] = []
     problems: list[RuleError] = []
     seen: dict[tuple[SuffixClass, str], int] = {}
-    lines = text.removeprefix(_BOM).splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         try:
             rule = _parse_line(lineno, line, len(rules))
         except RuleError as exc:
             problems.append(exc)
+            continue
+        except ValueError as exc:  # a lone surrogate from a failed decode
+            problems.append(RuleError(f"line {lineno}: {exc}", line=lineno))
             continue
         key = (rule.klass, rule.pattern.text)
         if key in seen:

@@ -345,6 +345,8 @@ def test_bom_is_dropped_from_stdin_and_files(tmp_path):
     code, out, _ = run_cli(["stem", "--rules", str(rules)], "cats\n")
     assert (code, out) == (EX_OK, "cats\tcat\n")
     assert run_cli(["rules-validate", str(rules)])[1] == "ok: 1 rules\n"
+    rules.write_bytes(b"\xef\xbb\xbfCase\ts\t\t1\t\r\n# x\r\n")
+    assert run_cli(["rules-validate", str(rules)])[1] == "ok: 1 rules\n"
 
 
 def test_rules_validate_rejects_a_dead_pattern(tmp_path):

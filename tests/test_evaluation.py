@@ -40,6 +40,8 @@ def test_load_gold_basics():
         ("மரம்", "மரம்"),
     ]
     assert load_gold("\ufeff" + text) == entries
+    crlf = text.replace("\n", "\r\n")
+    assert load_gold(crlf) == load_gold("\ufeff" + crlf) == entries
     assert load_gold("") == []
 
 

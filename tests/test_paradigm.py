@@ -79,6 +79,7 @@ def test_load_roots():
     roots = load_roots("# comment\nபடி\tverb\n\nமரம்\tnoun\n")
     assert [(r.text, p) for r, p in roots] == [("படி", "verb"), ("மரம்", "noun")]
     assert load_roots("\ufeffபடி\tverb\n") == roots[:1]
+    assert load_roots("\ufeffபடி\tverb\r\n# x\r\n") == roots[:1]
 
 
 @pytest.mark.parametrize(

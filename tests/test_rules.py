@@ -1,6 +1,7 @@
 """Rule file parsing, validation, and matching."""
 
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tamilstem
+from tamilstem.cli import EX_OK, EX_RULE_CONFLICT, main
+from tamilstem.evaluation import GoldError, load_gold
 from tamilstem.graphemes import ends_with, segment, word
+from tamilstem.paradigm import load_roots
 from tamilstem.rules import (
     ALL_CLASSES,
     RuleConflictError,
@@ -49,6 +53,8 @@ def test_parse_single_rule():
 
 def test_parse_drops_a_leading_bom():
     assert parse_rules("\ufeff" + GOOD_LINE) == parse_rules(GOOD_LINE)
+    crlf = GOOD_LINE.replace("\n", "\r\n")
+    assert parse_rules(crlf) == parse_rules("\ufeff" + crlf) == parse_rules(GOOD_LINE)
     assert validate_rules("\ufeffCase\tஐ\t\t1\t\n") == []
 
 
@@ -296,6 +302,20 @@ def test_replacement_may_start_with_a_dependent_sign():
     assert rule.replacement.text == "ி"
 
 
+def test_a_lone_surrogate_is_reported_on_its_line():
+    """The residue of a failed decode is a defect of its line, like a
+    malformed gold line, not a bare ValueError."""
+    message = "line 2: malformed text: lone surrogate at offset 0"
+    text = "Case\tஐ\t\t2\t\nCase\t\udcff\t\t2\t\n"
+    assert validate_rules(text) == [message]
+    with pytest.raises(RuleError) as exc:
+        parse_rules(text)
+    assert (exc.value.line, str(exc.value)) == (2, message)
+    with pytest.raises(ValueError) as exc:
+        load_roots("படி\tverb\n\udcffக\tnoun\n")
+    assert str(exc.value) == message
+
+
 # Per rule field: values that parse, then values that do not.  Valid
 # values are repeated so that whole valid lines, and so duplicate
 # (class, pattern) pairs, come up often.
@@ -306,6 +326,20 @@ _FIELDS = (
     (["1", "2", " 3"], ["0", "x"]),
     (["", "Case", "Case,Plural"], ["Nope", "Case,,Plural"]),
 )
+# Every character that str.splitlines breaks a line at, except "\n",
+# which alone ends a line in a rule file.
+LINE_BREAKS = (
+    "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+# Noise: the line breaks, field and comment syntax, Tamil consonants,
+# vowel signs and pulli, a combining mark, a letter outside the BMP and
+# a lone surrogate, the residue of a failed decode.  A fixed alphabet,
+# unlike st.text(), needs no Unicode table built on a fresh checkout,
+# which took about 3 s and failed Hypothesis's health check.
+ALPHABET = LINE_BREAKS + (
+    "\t", "#", " ", "க", "ம", "ள", "ா", "ி", "்", "\u0301", "\U0001d400",
+    "\udcff",
+)
 _tabbed_line = st.tuples(
     *(st.sampled_from(good * 4 + bad) for good, bad in _FIELDS)
 ).map("\t".join)
@@ -314,7 +348,7 @@ _other_line = st.one_of(
         "\t".join
     ),
     st.sampled_from(["", "# comment", "   ", "\t#x"]),
-    st.text(max_size=12),
+    st.lists(st.sampled_from(ALPHABET), max_size=12).map("".join),
 )
 # One line in six is a blank, a comment, a wrong field count or noise.
 _rule_line = st.integers(0, 5).flatmap(
@@ -336,7 +370,7 @@ def test_parse_rules_raises_the_first_problem_validate_rules_reports(
         if isinstance(exc, RuleConflictError):
             assert exc.line == exc.second_line > exc.first_line
             assert f"lines {exc.first_line} and {exc.second_line}" in str(exc)
-            rows = text.splitlines()
+            rows = text.split("\n")
             (first,) = parse_rules(rows[exc.first_line - 1]).rules
             (second,) = parse_rules(rows[exc.second_line - 1]).rules
             assert (first.klass, first.pattern) == (
@@ -346,6 +380,47 @@ def test_parse_rules_raises_the_first_problem_validate_rules_reports(
     else:
         assert problems == []
         assert [r.order for r in ruleset.rules] == list(range(len(ruleset)))
+
+
+@pytest.mark.parametrize("place", ["comment", "field"])
+@pytest.mark.parametrize("char", LINE_BREAKS, ids=[hex(ord(c)) for c in LINE_BREAKS])
+def test_only_a_newline_ends_a_line(tmp_path, char, place):
+    """Rule, gold and root files, and the CLI, number the lines of
+    ``text.split("\\n")``: *char* sits in line 1, in a comment or a field,
+    and the defect the readers report is on line 2 (or lines 2 and 3)."""
+
+    def text(data_line, *rest):
+        first = f"# x{char}y" if place == "comment" else data_line
+        return "\n".join((first, *rest)) + "\n"
+
+    def run(argv, stdin=""):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = main(argv, io.StringIO(stdin), stdout, stderr)
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    rules = text(f"Case\tக{char}\t\t1\t", "Case\tஐ\t\t1\t", "Case\tஐ\t\t1\t")
+    conflict = "duplicate rule for class Case pattern 'ஐ': lines 2 and 3"
+    assert validate_rules(rules) == [conflict]
+    with pytest.raises(RuleConflictError) as exc:
+        parse_rules(rules)
+    assert (exc.value.first_line, exc.value.second_line) == (2, 3)
+    path = tmp_path / "rules.tsv"
+    path.write_bytes(rules.encode())
+    assert run(["rules-validate", str(path)]) == (
+        EX_RULE_CONFLICT, conflict + "\n", ""
+    )
+    with pytest.raises(GoldError) as exc:
+        load_gold(text(f"அ{char}ம\tஅ", "x"))
+    assert exc.value.line == 2
+    with pytest.raises(ValueError, match="^line 2: expected 2 "):
+        load_roots(text(f"ப{char}டி\tverb", "x"))
+
+    roots = text(f"ப{char}டி", "படி")
+    code, pairs, err = run(["generate", "--paradigm", "verb"], roots)
+    assert (code, err) == (EX_OK, "")
+    code, report, err = run(["eval"], pairs)
+    assert (code, err) == (EX_OK, "")
+    assert report.endswith("accuracy\t100.0\n")
 
 
 # Small alphabets make rules share patterns and final letters.  Each
