@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import __version__
 from .evaluation import (
+    GoldConflictWarning,
     GoldError,
     accuracy,
     compare,
@@ -196,6 +198,19 @@ def _reject_tab(text: str, lineno: int, what: str) -> None:
         raise _CliError(EX_DATA, f"<stdin>: line {lineno}: tab inside a {what}")
 
 
+def _reporting_warnings(stderr, score, *args):
+    """``score(*args)``, writing each warning it raises, such as a
+    `GoldConflictWarning`, to *stderr*.  Left to `warnings`, a conflict
+    would go to ``sys.stderr`` with a source line, and only once per
+    process."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", GoldConflictWarning)
+        result = score(*args)
+    for warning in caught:
+        print(f"tamilstem: warning: {warning.message}", file=stderr)
+    return result
+
+
 def _stem_text(token: str, result, trace: bool) -> str:
     """What ``stem`` writes for *token*: its line, then any trace lines."""
     text = f"{token}\t{result.stem.text}\n"
@@ -208,7 +223,7 @@ def _stem_text(token: str, result, trace: bool) -> str:
     return text
 
 
-def _cmd_stem(args, stdin, stdout) -> int:
+def _cmd_stem(args, stdin, stdout, stderr) -> int:
     rules = _load_rules(args.rules)
     engine = ENGINES[args.algo]
     write = stdout.write
@@ -238,11 +253,13 @@ def _cmd_stem(args, stdin, stdout) -> int:
     return EX_OK
 
 
-def _cmd_eval(args, stdin, stdout) -> int:
+def _cmd_eval(args, stdin, stdout, stderr) -> int:
     rules = _load_rules(args.rules)
     engine = ENGINES[args.algo]
     entries = _load_gold_entries(args.gold, stdin)
-    n_unique, n_correct = evaluate(lambda w: engine(w, rules), entries)
+    n_unique, n_correct = _reporting_warnings(
+        stderr, evaluate, lambda w: engine(w, rules), entries
+    )
     print(f"n_unique\t{n_unique}", file=stdout)
     print(f"n_correct\t{n_correct}", file=stdout)
     print(f"accuracy\t{format_accuracy(accuracy(n_correct, n_unique))}",
@@ -250,19 +267,19 @@ def _cmd_eval(args, stdin, stdout) -> int:
     return EX_OK
 
 
-def _cmd_compare(args, stdin, stdout) -> int:
+def _cmd_compare(args, stdin, stdout, stderr) -> int:
     rules = _load_rules(args.rules)
     entries = _load_gold_entries(args.gold, stdin)
     chunks = args.chunks if args.chunks is not None else [len(entries)]
     try:
-        report = compare(entries, chunks, rules)
+        report = _reporting_warnings(stderr, compare, entries, chunks, rules)
     except ValueError as exc:
         raise _CliError(EX_DATA, str(exc)) from None
     stdout.write(render(report, args.format))
     return EX_OK
 
 
-def _cmd_rules_validate(args, stdin, stdout) -> int:
+def _cmd_rules_validate(args, stdin, stdout, stderr) -> int:
     if args.path is not None:
         text = _read_file(args.path)
     else:
@@ -278,7 +295,8 @@ def _cmd_rules_validate(args, stdin, stdout) -> int:
     return EX_DATA
 
 
-def _cmd_generate(args, stdin, stdout) -> int:
+def _cmd_generate(args, stdin, stdout, stderr) -> int:
+    write = stdout.write
     for lineno, raw in _data_lines(stdin):
         line = raw.strip()
         _reject_tab(line, lineno, "root")
@@ -287,7 +305,7 @@ def _cmd_generate(args, stdin, stdout) -> int:
         except ValueError as exc:
             raise _CliError(EX_DATA, f"<stdin>: line {lineno}: {exc}") from None
         for surface, stem in pairs:
-            print(f"{surface.text}\t{stem.text}", file=stdout)
+            write(f"{surface.text}\t{stem.text}\n")
     return EX_OK
 
 
@@ -312,7 +330,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         print(str(exc), file=stderr)
         return EX_USAGE
     try:
-        return _COMMANDS[args.command](args, stdin, stdout)
+        return _COMMANDS[args.command](args, stdin, stdout, stderr)
     except UnicodeDecodeError as exc:  # from a stdin that decodes strictly
         error = _CliError(EX_DATA, f"<stdin>: not valid UTF-8 ({exc.reason})")
     except _CliError as exc:

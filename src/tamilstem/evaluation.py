@@ -87,9 +87,22 @@ class EvalReport:
     avg_light: Fraction | None
 
 
+class _Words(dict):
+    """Field text to its `word`, segmented on the first lookup."""
+
+    def __missing__(self, text: str) -> GraphemeWord:
+        segmented = self[text] = word(text)
+        return segmented
+
+
 def load_gold(text: str) -> list[GoldEntry]:
-    """Parse ``surface<TAB>stem`` lines; ``#`` comments and blanks skip."""
+    """Parse ``surface<TAB>stem`` lines; ``#`` comments and blanks skip.
+
+    Each distinct field text is segmented once per call, and its entries
+    share one `GraphemeWord`.
+    """
     entries = []
+    words = _Words()
     for lineno, line in _data_lines(text):
         fields = line.strip().split("\t")
         if len(fields) != 2:
@@ -100,7 +113,7 @@ def load_gold(text: str) -> list[GoldEntry]:
         if not surface or not stem:
             raise GoldError(lineno, "empty field")
         try:
-            entries.append(GoldEntry(word(surface), word(stem)))
+            entries.append(GoldEntry(words[surface], words[stem]))
         except ValueError as exc:  # a lone surrogate from a failed decode
             raise GoldError(lineno, str(exc)) from None
     return entries

@@ -18,6 +18,15 @@ zero-width joiner or non-joiner: in that range the combining marks are
 known at import.  Any other text goes through ``_segment_slow``, the
 per-code-point loop that asks ``unicodedata`` about each character; the
 tests check the regular expression against it.
+
+``normalize`` skips NFC for most text in that same range.  There every
+code point is NFC-stable on its own and only the pulli (U+0BCD) has a
+non-zero combining class, so NFC reorders nothing, and a code point of
+class 0 can join only the one right before it.  ``unicodedata`` joins
+four such pairs there: U+0B92 U+0BD7, U+0BC6 U+0BBE, U+0BC6 U+0BD7 and
+U+0BC7 U+0BBE (ஔ, ொ, ௌ and ோ).  Text in the range without one of them
+is already NFC.  The tests pin those four pairs against the running
+Python's ``unicodedata`` and check ``normalize`` against plain NFC.
 """
 
 import re
@@ -54,6 +63,9 @@ def _char_class(chars) -> str:
 
 # Matches a code point outside the range the regular expression handles.
 _OUTSIDE_FAST_RANGE = re.compile(r"[^\x00-\u02ff\u0b80-\u0bff\u200c\u200d]")
+# The only code point pairs NFC joins in text `_OUTSIDE_FAST_RANGE` does
+# not match: they compose to ஔ, ொ, ௌ and ோ.
+_COMPOSING_PAIR = re.compile("\u0b92\u0bd7|\u0bc6[\u0bbe\u0bd7]|\u0bc7\u0bbe")
 # One letter, as `_segment_slow` clusters it: a consonant with its
 # dependent signs, an independent vowel or aytham with any AU length
 # mark, or any other character with its combining marks and joiners.
@@ -69,7 +81,17 @@ def normalize(text: str) -> str:
 
     Idempotent.  Rejects strings carrying lone surrogates (the residue of
     a failed byte decode) rather than letting them propagate.
+
+    Text whose code points all lie below U+0300, in the Tamil block or
+    among the zero-width joiners holds no surrogate, and NFC changes it
+    only where it has one of the four pairs `_COMPOSING_PAIR` matches
+    (see the module docstring), so other such text is returned as it is.
     """
+    if (
+        _OUTSIDE_FAST_RANGE.search(text) is None
+        and _COMPOSING_PAIR.search(text) is None
+    ):
+        return text
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:  # UTF-8 encodes all but surrogates

@@ -477,3 +477,17 @@ def test_stem_error_names_the_first_line_of_a_bad_token():
     assert code == EX_DATA
     assert out == "மரம்\tமரம்\nமரங்கள்\tமரம்\n"
     assert err.startswith("tamilstem: error: <stdin>: line 3: ")
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["compare", "--format", "csv"]])
+def test_conflict_warning_goes_to_the_given_stderr_on_every_run(argv, capsys):
+    conflicting = GOLD_TEXT + "பெண்கள்\tபெண்கள்\n"
+    _, clean_out, _ = run_cli(argv, GOLD_TEXT + "பெண்கள்\tபெண்\n")
+    for _ in range(2):
+        code, out, err = run_cli(argv, conflicting)
+        assert (code, out) == (EX_OK, clean_out)
+        assert err == (
+            "tamilstem: warning: conflicting expected stems for duplicated "
+            "surfaces (first occurrence wins): பெண்கள்\n"
+        )
+    assert capsys.readouterr().err == ""

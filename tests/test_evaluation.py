@@ -24,7 +24,7 @@ from tamilstem.evaluation import (
     render,
 )
 from tamilstem.graphemes import word
-from tamilstem.paradigm import generate_forms
+from tamilstem.paradigm import default_roots, generate_forms
 from tamilstem.stemmers import light_stem, strip_stem
 
 
@@ -57,6 +57,63 @@ def test_load_gold_errors_carry_line_numbers(text, line):
     with pytest.raises(GoldError, match=f"line {line}") as exc:
         load_gold(text)
     assert exc.value.line == line
+
+
+def _load_gold_line_by_line(text):
+    """`load_gold` without its memo: both fields of each line through
+    `word`, for well-formed gold text."""
+    entries = []
+    for line in text.removeprefix("\ufeff").split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            surface, stem = line.split("\t")
+            entries.append(GoldEntry(word(surface.strip()), word(stem.strip())))
+    return entries
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_load_gold_matches_a_line_by_line_oracle(seed):
+    # A Zipf sample of bundled-gold lines (so fields repeat, as in running
+    # text) and `generate` output (each stem on many lines), with comments,
+    # blank lines, CRLF endings, padded fields and decomposed spellings
+    # that share a `word` with their composed form.
+    rng = random.Random(seed)
+    bundled = [
+        f"{e.surface.text}\t{e.expected_stem.text}" for e in bundled_gold()
+    ]
+    weights = [1 / rank for rank in range(1, len(bundled) + 1)]
+    lines = rng.choices(bundled, weights, k=1500)
+    lines += [
+        f"{surface.text}\t{stem.text}"
+        for root, paradigm in default_roots()
+        for surface, stem in generate_forms(root, paradigm)
+    ]
+    rng.shuffle(lines)
+    noisy = []
+    for line in lines:
+        kind = rng.randrange(6)
+        if kind == 0:
+            noisy.append("# " + line)
+        elif kind == 1:
+            noisy.extend(["", line + "\r"])
+        elif kind == 2:
+            noisy.append(" " + line.replace("\t", " \t") + " ")
+        elif kind == 3:
+            noisy.append(line.replace("\u0bca", "\u0bc6\u0bbe"))
+        else:
+            noisy.append(line)
+    text = "\ufeff" + "\n".join(noisy) + "\n"
+    expected = _load_gold_line_by_line(text)
+    assert len(expected) > 1500
+    assert load_gold(text) == expected
+
+
+def test_load_gold_names_the_first_line_of_a_repeated_bad_field():
+    bad = "மர\udcffம்"
+    text = f"மரம்\tமரம்\nபடி\tபடி\n{bad}\tமரம்\nபடி\tபடி\n{bad}\tமரம்\n"
+    with pytest.raises(GoldError, match="^line 3: ") as exc:
+        load_gold(text)
+    assert exc.value.line == 3
 
 
 def test_dataset_stats():

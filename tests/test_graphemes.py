@@ -103,6 +103,68 @@ def test_normalize_names_the_first_surrogate_by_code_point(text):
     assert str(info.value) == _surrogate_message(text)
 
 
+def _normalize_reference(text):
+    """`normalize` without its shortcut: the surrogate check, then NFC."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(
+            f"malformed text: lone surrogate at offset {exc.start}"
+        ) from None
+    return unicodedata.normalize("NFC", text)
+
+
+def _assert_normalizes_like_the_reference(text):
+    try:
+        expected = _normalize_reference(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            normalize(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert normalize(text) == expected, ascii(text)
+
+
+# The code points `segment`'s regular expression and `normalize`'s NFC
+# shortcut handle.
+_FAST_RANGE = tuple(
+    map(chr, itertools.chain(range(0x0300), range(0x0B80, 0x0C00), (0x200C, 0x200D)))
+)
+
+
+def test_unicodedata_joins_only_four_pairs_in_the_fast_range():
+    # What `normalize` relies on to skip NFC.  A Unicode version that
+    # breaks it fails here, not in a stem.
+    version = unicodedata.unidata_version
+    assert all(unicodedata.is_normalized("NFC", c) for c in _FAST_RANGE), version
+    assert [c for c in _FAST_RANGE if unicodedata.combining(c)] == ["\u0bcd"], version
+    joined = {
+        (a, b)
+        for a in _FAST_RANGE
+        for b in _FAST_RANGE
+        if not unicodedata.is_normalized("NFC", a + b)
+    }
+    assert joined == {
+        ("\u0b92", "\u0bd7"),
+        ("\u0bc6", "\u0bbe"),
+        ("\u0bc6", "\u0bd7"),
+        ("\u0bc7", "\u0bbe"),
+    }, version
+
+
+def test_normalize_matches_nfc_on_each_code_point_of_the_fast_range():
+    for c in _FAST_RANGE:
+        _assert_normalizes_like_the_reference(c)
+
+
+def test_normalize_matches_nfc_on_every_pair_over_the_tamil_block():
+    letters = [chr(c) for c in range(0x0B80, 0x0C00)]
+    letters += ["\u200c", "\u200d", "\x00", "\t", " ", "a", "~", "\xe9", "\xff"]
+    for a in letters:
+        for b in letters:
+            _assert_normalizes_like_the_reference(a + b)
+
+
 def test_segment_absorbs_combining_marks_outside_tamil():
     # Latin base + combining acute stays one unit.
     assert segment("éx").graphemes == ("é", "x")
@@ -214,3 +276,14 @@ def test_segment_matches_the_slow_loop_after_each_code_point_of_the_fast_range()
         for base in ("a", "க", "அ", "\u0b82"):
             for text in (base + c, c + base):
                 assert segment(text) == _segment_slow(text), ascii(text)
+
+
+@settings(max_examples=1000, derandomize=True)
+@given(
+    st.lists(
+        st.sampled_from(_ORACLE_ALPHABET + "\u0bcb\ud800\udcff"),
+        max_size=16,
+    ).map("".join)
+)
+def test_property_normalize_matches_nfc(text):
+    _assert_normalizes_like_the_reference(text)
