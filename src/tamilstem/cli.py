@@ -73,11 +73,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _chunk_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
+        sizes = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"chunks must be comma-separated integers, got {text!r}"
         ) from None
+    if sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(
+            f"chunks must be positive and strictly ascending, got {text!r}"
+        )
+    return sizes
 
 
 def _build_parser() -> _Parser:

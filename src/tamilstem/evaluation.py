@@ -6,6 +6,11 @@ are kept as exact rationals (`fractions.Fraction`) internally; display
 truncates toward zero to one decimal place, so 85.59… renders as
 ``85.5``.
 
+Gold policy: a surface may appear more than once in the gold, and
+only its first entry is scored.  A later entry of the same surface with
+another expected stem is a conflict; each `evaluate` or `compare` call
+that meets any raises one `GoldConflictWarning` naming them all.
+
 A comparison report runs both engines over cumulative prefixes of a
 gold sequence ("the first 200 entries, the first 400, …") and appends
 the arithmetic mean of the per-chunk accuracies.
@@ -150,41 +155,43 @@ def format_accuracy(value: Rational) -> str:
     return f"{tenths // 10}.{tenths % 10}"
 
 
-def _dedupe(gold: "list[GoldEntry]") -> dict[str, GoldEntry]:
-    """The first entry of each surface, keyed by the surface's text."""
-    first: dict[str, GoldEntry] = {}
-    conflicts = []
-    for entry in gold:
-        surface = entry.surface.text
-        if surface not in first:
-            first[surface] = entry
-        elif first[surface].expected_stem.text != entry.expected_stem.text:
-            conflicts.append(surface)
+def _score(gold, engines, boundaries) -> "list[tuple[int, ...]]":
+    """Score *gold* with each of *engines* in one pass under the gold
+    policy, recording ``(n_words, n_unique, *correct)`` at each of
+    *boundaries*: the counts so far, one correct count per engine."""
+    first: dict[str, str] = {}  # surface text to its expected stem text
+    conflicts = set()
+    correct = [0] * len(engines)
+    ends = set(boundaries)
+    points = []
+    for position, entry in enumerate(gold, start=1):
+        surface, stem = entry.surface.text, entry.expected_stem.text
+        expected = first.get(surface)
+        if expected is None:
+            first[surface] = stem
+            for index, engine in enumerate(engines):
+                if engine(entry.surface).stem.text == stem:
+                    correct[index] += 1
+        elif expected != stem:
+            conflicts.add(surface)
+        if position in ends:
+            points.append((position, len(first), *correct))
     if conflicts:
         warnings.warn(
             "conflicting expected stems for duplicated surfaces "
-            f"(first occurrence wins): {', '.join(sorted(set(conflicts)))}",
+            f"(first occurrence wins): {', '.join(sorted(conflicts))}",
             GoldConflictWarning,
             stacklevel=3,
         )
-    return first
+    return points
 
 
 def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
-    """Score one engine: (n_unique, n_correct) over deduplicated gold.
-
-    Duplicate surfaces keep their first expected stem; conflicting
-    duplicates additionally raise a `GoldConflictWarning`.
-    """
+    """Score one engine: (n_unique, n_correct) under the gold policy."""
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
-    first = _dedupe(gold)
-    n_correct = sum(
-        1
-        for entry in first.values()
-        if stemmer(entry.surface).stem.text == entry.expected_stem.text
-    )
-    return len(first), n_correct
+    ((_, n_unique, n_correct),) = _score(gold, [stemmer], [len(gold)])
+    return n_unique, n_correct
 
 
 def compare(
@@ -194,42 +201,28 @@ def compare(
 ) -> EvalReport:
     """Score both engines over cumulative prefixes of *gold*.
 
-    ``chunk_sizes`` must be ascending; each must fit within the gold
-    sequence.  Row k covers the first ``chunk_sizes[k]`` entries, so
-    unique counts are non-decreasing across rows.
+    ``chunk_sizes`` must be positive, ascending and at most ``len(gold)``.
+    Row k covers the first ``chunk_sizes[k]`` entries under the gold
+    policy, so unique counts are non-decreasing across rows.
     """
     if rules is None:
         rules = builtin_rules()
     sizes = list(chunk_sizes)
-    previous = 0
-    for size in sizes:
+    for previous, size in zip([0, *sizes], sizes):
+        if size < 1:
+            raise ValueError(f"chunk sizes must be positive, got {sizes}")
         if size <= previous:
             raise ValueError(f"chunk sizes must be ascending, got {sizes}")
         if size > len(gold):
             raise ValueError(
                 f"chunk size {size} exceeds gold length {len(gold)}"
             )
-        previous = size
-
-    _dedupe(gold)  # warns about conflicting duplicates
-    boundaries = set(sizes)
-    seen: set[str] = set()
-    correct_strip = correct_light = 0
-    rows = []
-    for position, entry in enumerate(gold, start=1):
-        surface = entry.surface.text
-        if surface not in seen:  # the first occurrence, whose stem counts
-            seen.add(surface)
-            stem = entry.expected_stem.text
-            if strip_stem(entry.surface, rules).stem.text == stem:
-                correct_strip += 1
-            if light_stem(entry.surface, rules).stem.text == stem:
-                correct_light += 1
-        if position in boundaries:
-            rows.append(
-                _row(position, len(seen), correct_strip, correct_light)
-            )
-    return _report(rows)
+    points = _score(
+        gold,
+        [lambda w: strip_stem(w, rules), lambda w: light_stem(w, rules)],
+        sizes,
+    )
+    return _report([_row(*point) for point in points])
 
 
 def _row(
@@ -356,6 +349,10 @@ def parse_report_csv(text: str) -> EvalReport:
             continue
         if record[0] == "avg":
             break
+        if len(record) != len(CSV_HEADER):
+            raise ValueError(
+                f"row has {len(record)} fields: {','.join(record)}"
+            )
         # Counts sit in columns 0, 1, 2 and 4 (see CSV_HEADER).
         rows.append(_row(*(int(record[i]) for i in (0, 1, 2, 4))))
     return _report(rows)

@@ -146,6 +146,14 @@ def test_compare_malformed_chunks_is_usage_error():
     assert "chunks" in err
 
 
+@pytest.mark.parametrize("chunks", ["0", "10,10", "20,10"])
+def test_compare_chunks_not_positive_ascending_is_usage_error(chunks):
+    gold = GOLD_TEXT * 10
+    code, out, err = run_cli(["compare", "--chunks", chunks], gold)
+    assert (code, out) == (EX_USAGE, "")
+    assert "--chunks" in err
+
+
 def test_rules_validate_builtin_ok():
     code, out, _ = run_cli(["rules-validate"])
     assert code == EX_OK

@@ -2,11 +2,13 @@
 
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from tamilstem.evaluation import (
+    CSV_HEADER,
     DatasetStats,
     EvalReport,
     GoldConflictWarning,
@@ -184,11 +186,63 @@ def test_evaluate_deduplicates_first_wins():
 
 def test_evaluate_duplicates_without_conflict_are_silent():
     gold = _gold([("மரம்", "மரம்"), ("மரம்", "மரம்")])
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert evaluate(light_stem, gold) == (1, 1)
+
+
+def _conflicting_surfaces(gold):
+    """The gold policy's conflicts, found by a second pass over *gold*."""
+    first = {}
+    for entry in gold:
+        first.setdefault(entry.surface.text, entry.expected_stem.text)
+    return sorted(
+        {
+            entry.surface.text
+            for entry in gold
+            if entry.expected_stem.text != first[entry.surface.text]
+        }
+    )
+
+
+def _one_conflict_warning(call, *args):
+    """``call(*args)`` and the message of the one `GoldConflictWarning`
+    it raises, which must point at this file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    (warning,) = [w for w in caught if w.category is GoldConflictWarning]
+    assert warning.filename == __file__
+    return result, str(warning.message)
+
+
+def test_compare_and_evaluate_share_one_gold_policy():
+    rng = random.Random(9)
+    pool = list(bundled_gold())
+    weights = [1 / rank for rank in range(1, len(pool) + 1)]
+    gold = rng.choices(pool, weights=weights, k=600)
+    for position in (3, 120, 333, 590):  # a conflict in every prefix
+        entry = gold[rng.randrange(position)]
+        other = word(entry.expected_stem.text + "ம்")
+        gold.insert(position, GoldEntry(entry.surface, other))
+    chunks = [50, 200, 451, len(gold)]
+
+    report, message = _one_conflict_warning(compare, gold, chunks)
+    assert message == (
+        "conflicting expected stems for duplicated surfaces "
+        "(first occurrence wins): " + ", ".join(_conflicting_surfaces(gold))
+    )
+    assert [row.n_words for row in report.rows] == chunks
+    for row in report.rows:
+        prefix = gold[: row.n_words]
+        expected = ", ".join(_conflicting_surfaces(prefix))
+        for engine, n_correct in (
+            (strip_stem, row.n_correct_strip),
+            (light_stem, row.n_correct_light),
+        ):
+            scores, message = _one_conflict_warning(evaluate, engine, prefix)
+            assert scores == (row.n_unique, n_correct)
+            assert message.endswith(f"(first occurrence wins): {expected}")
 
 
 def test_evaluate_order_insensitive_without_duplicates():
@@ -231,6 +285,8 @@ def test_compare_validates_chunks():
         compare(gold, [10, 10])
     with pytest.raises(ValueError, match="ascending"):
         compare(gold, [20, 10])
+    with pytest.raises(ValueError, match="positive"):
+        compare(gold, [0, 10])
     with pytest.raises(ValueError, match=str(len(gold) + 5)):
         compare(gold, [len(gold) + 5])
 
@@ -284,6 +340,11 @@ def test_parse_report_csv_errors():
         parse_report_csv("")
     with pytest.raises(ValueError, match="unexpected header"):
         parse_report_csv("a,b,c\n")
+    header = ",".join(CSV_HEADER) + "\n"
+    for row in ("10,9", "10,9,9,100.0,9", "10,9,9,100.0,9,100.0,x"):
+        fields = row.count(",") + 1
+        with pytest.raises(ValueError, match=f"{fields} fields: {row}$"):
+            parse_report_csv(header + row + "\n")
 
 
 def test_bundled_gold_contents():
