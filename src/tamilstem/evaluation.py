@@ -13,7 +13,10 @@ that meets any raises one `GoldConflictWarning` naming them all.
 
 A comparison report runs both engines over cumulative prefixes of a
 gold sequence ("the first 200 entries, the first 400, …") and appends
-the arithmetic mean of the per-chunk accuracies.
+the arithmetic mean of the per-chunk accuracies.  Both engines share
+one walk per surface while light's class chain allows the rule strip
+takes (`stemmers._both`), and no surface after the last chunk is
+stemmed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from numbers import Rational
 from .graphemes import GraphemeWord, _as_word, _data_lines, _packaged_text, _record, word
 from .paradigm import build_corpus
 from .rules import RuleSet, builtin_rules
-from .stemmers import light_stem, strip_stem
+from .stemmers import _both
 
 CSV_HEADER = (
     "n_words",
@@ -155,23 +158,30 @@ def format_accuracy(value: Rational) -> str:
     return f"{tenths // 10}.{tenths % 10}"
 
 
-def _score(gold, engines, boundaries) -> "list[tuple[int, ...]]":
-    """Score *gold* with each of *engines* in one pass under the gold
-    policy, recording ``(n_words, n_unique, *correct)`` at each of
-    *boundaries*: the counts so far, one correct count per engine."""
+def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
+    """Score *gold* in one pass under the gold policy, recording
+    ``(n_words, n_unique, *correct)`` at each of *boundaries*: the
+    counts so far, one correct count per engine.
+
+    *stems* maps a surface to a `StemResult` from each of *engines*
+    engines.  It runs on the first entry of each surface up to the last
+    boundary only; the conflict scan goes on to the end of *gold*.
+    """
     first: dict[str, str] = {}  # surface text to its expected stem text
     conflicts = set()
-    correct = [0] * len(engines)
+    correct = [0] * engines
     ends = set(boundaries)
+    last = max(ends, default=0)
     points = []
     for position, entry in enumerate(gold, start=1):
         surface, stem = entry.surface.text, entry.expected_stem.text
         expected = first.get(surface)
         if expected is None:
             first[surface] = stem
-            for index, engine in enumerate(engines):
-                if engine(entry.surface).stem.text == stem:
-                    correct[index] += 1
+            if position <= last:
+                for index, result in enumerate(stems(entry.surface)):
+                    if result.stem.text == stem:
+                        correct[index] += 1
         elif expected != stem:
             conflicts.add(surface)
         if position in ends:
@@ -190,7 +200,9 @@ def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
     """Score one engine: (n_unique, n_correct) under the gold policy."""
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
-    ((_, n_unique, n_correct),) = _score(gold, [stemmer], [len(gold)])
+    ((_, n_unique, n_correct),) = _score(
+        gold, lambda w: (stemmer(w),), 1, [len(gold)]
+    )
     return n_unique, n_correct
 
 
@@ -217,11 +229,7 @@ def compare(
             raise ValueError(
                 f"chunk size {size} exceeds gold length {len(gold)}"
             )
-    points = _score(
-        gold,
-        [lambda w: strip_stem(w, rules), lambda w: light_stem(w, rules)],
-        sizes,
-    )
+    points = _score(gold, lambda w: _both(rules, w), 2, sizes)
     return _report([_row(*point) for point in points])
 
 

@@ -159,4 +159,40 @@ def light_stem(
     return _walk(rules, text, _ALL, chain=True)
 
 
+def _both(
+    rules: RuleSet, text: GraphemeWord | str
+) -> tuple[StemResult, StemResult]:
+    """``(strip_stem(text, rules), light_stem(text, rules))`` in one walk.
+
+    Strip's walk runs with light's class mask tracked alongside.  While
+    strip's rule is in that mask it is light's rule too: both probe the
+    same index in the same order, and light's mask is a subset of
+    strip's.  Light's result is taken where its chain ends; if strip
+    stops while that chain is open, light stops there too and both are
+    the same (frozen) `StemResult`.  Once strip picks a rule the mask
+    forbids, light may part ways, so ``light_stem`` walks that word
+    again from the start.
+    """
+    start = w = _as_word(text)
+    trace = []
+    light = None
+    mask = _ALL  # the classes light allows next, 0 once light has stopped
+    while True:
+        entry = _first_match(rules, w.graphemes, _ALL)
+        if entry is None:
+            break
+        rule, bit, next_mask, _shortest, merges = entry
+        if mask and not bit & mask:
+            light, mask = light_stem(start, rules), 0
+        after = _apply(w, rule, merges)
+        trace.append(StemStep(rule, w, after))
+        w = after
+        if mask:
+            if not next_mask:
+                light = StemResult(start, w, tuple(trace))
+            mask = next_mask
+    strip = StemResult(start, w, tuple(trace))
+    return strip, strip if light is None else light
+
+
 ENGINES = {"strip": strip_stem, "light": light_stem}

@@ -10,11 +10,13 @@ fails loudly if its property does not hold within the stated budget:
 4. both engines are idempotent over a 10,000-word fuzz corpus
 5. strip's first applied rule is always the longest applicable one,
    against brute-force search over an exhaustive bounded universe
-6. joining segmented letters reproduces the text over a 1,000+-word
+6. the one walk `compare` runs for both engines gives each engine's own
+   result over that universe and the fuzz corpus
+7. joining segmented letters reproduces the text over a 1,000+-word
    fixture
-7. comparison reports have the right shape, CSV round-trips losslessly,
+8. comparison reports have the right shape, CSV round-trips losslessly,
    and averages match exact rational arithmetic to within 1e-12
-8. light stems 10,000 words in under a second
+9. light stems 10,000 words in under a second
 """
 
 import itertools
@@ -26,6 +28,7 @@ from fractions import Fraction
 import pytest
 
 import tamilstem as ts
+from tamilstem.stemmers import _both
 
 FUZZ_SEED = 987654321
 
@@ -250,7 +253,8 @@ def _oracle_universe(subset):
     return words
 
 
-def test_strip_first_rule_is_exhaustive_longest_match(capsys):
+def _oracle_rules():
+    """The built-in rules of `_ORACLE_SUBSET`, as their own rule set."""
     picked = [
         r
         for r in ts.builtin_rules().rules
@@ -269,7 +273,11 @@ def test_strip_first_rule_is_exhaustive_longest_match(capsys):
         )
         for r in picked
     )
-    subset = ts.parse_rules(lines + "\n")
+    return ts.parse_rules(lines + "\n")
+
+
+def test_strip_first_rule_is_exhaustive_longest_match(capsys):
+    subset = _oracle_rules()
     universe = _oracle_universe(subset)
 
     def brute_force_best(w):
@@ -295,6 +303,25 @@ def test_strip_first_rule_is_exhaustive_longest_match(capsys):
         not violations,
         f"longest-match agrees with brute force on {len(universe)} words "
         f"x 30 rules"
+        if not violations
+        else f"{len(violations)} violations, first: {violations[:3]}",
+    )
+
+
+def test_one_walk_for_both_engines_matches_two(capsys, fuzz_corpus):
+    rules = ts.builtin_rules()
+    words = _oracle_universe(_oracle_rules()) + fuzz_corpus
+    violations = [
+        w.text
+        for w in words
+        if _both(rules, w)
+        != (ts.strip_stem(w, rules), ts.light_stem(w, rules))
+    ]
+    _report(
+        capsys,
+        not violations,
+        f"one strip+light walk matches both engines on {len(words)} "
+        f"words (oracle universe + fuzz corpus)"
         if not violations
         else f"{len(violations)} violations, first: {violations[:3]}",
     )

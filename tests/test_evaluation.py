@@ -1,5 +1,6 @@
 """Gold loading, accuracy arithmetic, and report rendering."""
 
+import io
 import json
 import random
 import warnings
@@ -7,10 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from tamilstem import evaluation
+from tamilstem.cli import main
 from tamilstem.evaluation import (
     CSV_HEADER,
     DatasetStats,
     EvalReport,
+    EvalRow,
     GoldConflictWarning,
     GoldEntry,
     GoldError,
@@ -27,6 +31,7 @@ from tamilstem.evaluation import (
 )
 from tamilstem.graphemes import word
 from tamilstem.paradigm import default_roots, generate_forms
+from tamilstem.rules import builtin_rules, parse_rules
 from tamilstem.stemmers import light_stem, strip_stem
 
 
@@ -294,6 +299,113 @@ def test_compare_validates_chunks():
 def test_compare_empty_chunks_gives_empty_report():
     report = compare(_mixed_gold(), [])
     assert report == EvalReport((), None, None)
+
+
+def _reference_report(gold, sizes, rules):
+    """`compare`'s report rebuilt from `evaluate` on each prefix, one
+    engine at a time."""
+    rows = []
+    for size in sizes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GoldConflictWarning)
+            (n_unique, strip), (_, light) = (
+                evaluate(lambda w: engine(w, rules), gold[:size])
+                for engine in (strip_stem, light_stem)
+            )
+        rows.append(
+            EvalRow(
+                size,
+                n_unique,
+                strip,
+                light,
+                accuracy(strip, n_unique),
+                accuracy(light, n_unique),
+            )
+        )
+    return EvalReport(
+        tuple(rows),
+        sum(r.acc_strip for r in rows) / len(rows),
+        sum(r.acc_light for r in rows) / len(rows),
+    )
+
+
+# Case ஐ and உக்கு hand over to Case only, so after them light takes
+# ள் where strip takes the longer Plural கள்; Plural கள் ends light's
+# chain where strip goes on.
+_PARTING_RULES = (
+    "Case\tஐ\t\t1\tCase\n"
+    "Case\tஉக்கு\t\t1\tCase\n"
+    "Case\tள்\t\t1\t\n"
+    "Plural\tகள்\t\t1\t\n"
+)
+_PARTING_GOLD = (
+    "பெண்கள்ஐ\tபெண்க\n"
+    "மரம்கள்உக்கு\tமரம்\n"
+    "பெண்கள்\tபெண்\n"
+    "மரஉக்குகள்\tமர\n"
+    "படம்ஐ\tபடம்\n"
+    "பெண்கள்\tவேறு\n"  # a conflict after the last chunk
+)
+
+
+def test_compare_where_the_engines_part_ways(tmp_path):
+    rules = parse_rules(_PARTING_RULES)
+    gold = load_gold(_PARTING_GOLD)
+    assert all(
+        strip_stem(e.surface, rules) != light_stem(e.surface, rules)
+        for e in gold[:2] + gold[3:4]
+    )
+    expected = _reference_report(gold, [2, 5], rules)
+    last = expected.rows[-1]
+    assert (last.n_correct_strip, last.n_correct_light) == (4, 3)
+    report, message = _one_conflict_warning(compare, gold, [2, 5], rules)
+    assert report == expected
+    assert message.endswith("(first occurrence wins): பெண்கள்")
+    path = tmp_path / "parting.tsv"
+    path.write_text(_PARTING_RULES, encoding="utf-8")
+    for fmt in ("table", "csv", "json"):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        argv = ["compare", "--rules", str(path), "--chunks", "2,5"]
+        code = main(
+            argv + ["--format", fmt],
+            stdin=io.StringIO(_PARTING_GOLD),
+            stdout=stdout,
+            stderr=stderr,
+        )
+        assert code == 0
+        assert stdout.getvalue() == render(expected, fmt)
+        assert "பெண்கள்" in stderr.getvalue()
+
+
+def test_compare_renders_as_the_engines_one_at_a_time():
+    bundled = list(bundled_gold())
+    readme = [GoldEntry(s, r) for s, r in generate_forms("படி", "verb")]
+    for gold, sizes in (
+        (bundled, [200, 400, 600, 800, len(bundled)]),
+        (readme, [20, 41]),
+    ):
+        report = compare(gold, sizes)
+        expected = _reference_report(gold, sizes, builtin_rules())
+        for fmt in ("table", "csv", "json"):
+            assert render(report, fmt) == render(expected, fmt)
+
+
+def test_compare_stems_nothing_after_the_last_chunk(monkeypatch):
+    gold = list(bundled_gold())
+    late = gold[-1]
+    gold.append(GoldEntry(late.surface, word(late.expected_stem.text + "ம்")))
+    stemmed = []
+    both = evaluation._both
+
+    def counting(rules, w):
+        stemmed.append(w.text)
+        return both(rules, w)
+
+    monkeypatch.setattr(evaluation, "_both", counting)
+    report, message = _one_conflict_warning(compare, gold, [10, 25])
+    assert stemmed == list(dict.fromkeys(e.surface.text for e in gold[:25]))
+    assert message.endswith(f"(first occurrence wins): {late.surface.text}")
+    assert report == _reference_report(gold, [10, 25], builtin_rules())
 
 
 def test_render_table_structure():

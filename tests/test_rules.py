@@ -28,6 +28,7 @@ from tamilstem.rules import (
     validate_rules,
 )
 from tamilstem.stemmers import (
+    _both,
     adjectival_to_verb,
     light_stem,
     strip_plural,
@@ -478,6 +479,7 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
             assert (result.stem, steps) == _oracle_walk(
                 rs, w, ALL_CLASSES, chain
             )
+        assert _both(rs, w) == (strip_stem(w, rs), light_stem(w, rs))
         for helper, classes in (
             (strip_plural, {SuffixClass.PLURAL}),
             (adjectival_to_verb, {SuffixClass.ADJECTIVAL_PARTICIPLE}),
