@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import lru_cache
 
 from . import __version__
 from .evaluation import (
@@ -66,9 +67,19 @@ class _CliError(Exception):
         self.code = code
 
 
+class _Printed(Exception):
+    """Raised instead of printing ``--help`` or ``--version`` text and
+    exiting, so `main` writes the text to the stdout of its own call."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+    def _print_message(self, message, file=None):
+        # The one call through which argparse's help and version actions
+        # print; usage errors never get here (see `error`).
+        raise _Printed(message)
 
 
 def _chunk_list(text: str) -> list[int]:
@@ -85,7 +96,10 @@ def _chunk_list(text: str) -> list[int]:
     return sizes
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parsing never changes
+    it."""
     parser = _Parser(
         prog="tamilstem",
         description="Tamil stemmers with declarative suffix rules.",
@@ -324,16 +338,23 @@ _COMMANDS = {
 
 
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
-    """Run the CLI; returns the process exit code."""
+    """Run the CLI; returns the process exit code.
+
+    ``--help`` and ``--version`` write to *stdout* and return 0.  `main`
+    may be called any number of times in one process; it builds its
+    parser on the first call and reuses it.
+    """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=stderr)
         return EX_USAGE
+    except _Printed as printed:
+        stdout.write(str(printed))
+        return EX_OK
     try:
         return _COMMANDS[args.command](args, stdin, stdout, stderr)
     except UnicodeDecodeError as exc:  # from a stdin that decodes strictly

@@ -9,6 +9,17 @@ base) with one suffix, so a correct stemmer recovers the root exactly.
 Nouns whose final letter is the bare consonant ``ம்`` ("m-final" nouns
 like மரம்) swap that letter for ``ங்கள்`` in the plural and for ``த்``
 before the locative ``இல்``; all other nouns take plain ``கள்``.
+
+A form is built by joining letters, never by segmenting text: its
+letters are the base's letters followed by the ending's, and its text is
+the base's text followed by the ending's.  Each ending is segmented once,
+on first use.  This is exact because every ending starts with a Tamil
+consonant or independent vowel.  Such a code point is NFC-stable, has
+combining class 0 and is never the second half of a composition, so NFC
+of base plus ending is the NFC base plus the ending; and it is no mark
+or joiner, so the base's last letter cannot absorb it.  The m-final
+bases drop the root's last letter, ``ம்``, which starts with a consonant
+too, so the same holds for them.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ from .graphemes import GraphemeWord, _as_word, _data_lines, _packaged_text, word
 PARADIGMS = ("noun", "verb")
 
 _M_FINAL = "ம்"
+_PLURAL = "கள்"
+_M_PLURAL = "ங்கள்"
 
 # Case endings shared by both numbers: accusative, dative, sociative,
 # genitive, instrumental.  Locative and ablative depend on the noun type
@@ -55,41 +68,58 @@ def is_m_final(root: GraphemeWord | str) -> bool:
     return bool(w) and w.graphemes[-1] == _M_FINAL
 
 
+@lru_cache(maxsize=None)
+def _ending(text: str) -> GraphemeWord:
+    """The letters of one of this module's endings, segmented once."""
+    return word(text)
+
+
+def _join(base: GraphemeWord, ending: str) -> GraphemeWord:
+    """*base* followed by *ending*, joined letter by letter (exact: see
+    the module docstring)."""
+    tail = _ending(ending)
+    return GraphemeWord(base.graphemes + tail.graphemes, base.text + tail.text)
+
+
+def _m_stem(root: GraphemeWord) -> GraphemeWord:
+    """An m-final *root* without its final ``ம்``."""
+    return GraphemeWord(root.graphemes[:-1], root.text[: -len(_M_FINAL)])
+
+
 def plural_base(root: GraphemeWord | str) -> GraphemeWord:
     """The noun base that plural case forms attach to."""
     w = _as_word(root)
     if is_m_final(w):
-        return word("".join(w.graphemes[:-1]) + "ங்கள்")
-    return word(w.text + "கள்")
+        return _join(_m_stem(w), _M_PLURAL)
+    return _join(w, _PLURAL)
 
 
-def _noun_number_block(base: GraphemeWord, loc: str, abl: str) -> list[str]:
-    forms = [base.text]
-    forms.extend(base.text + case for case in _SHARED_CASES)
-    forms.append(base.text + loc)
-    forms.append(base.text + abl)
-    forms.append(base.text + _VOCATIVE)
-    return forms
+def _noun_number_block(
+    base: GraphemeWord, loc: str, abl: str
+) -> list[GraphemeWord]:
+    endings = (*_SHARED_CASES, loc, abl, _VOCATIVE)
+    return [base] + [_join(base, ending) for ending in endings]
 
 
-def _noun_forms(root: GraphemeWord) -> list[str]:
+def _noun_forms(root: GraphemeWord) -> list[GraphemeWord]:
     plural = plural_base(root)
     if is_m_final(root):
-        oblique = "".join(root.graphemes[:-1]) + _OBLIQUE
+        oblique = _join(_m_stem(root), _OBLIQUE)
         singular = _noun_number_block(root, _LOC_PLAIN, _ABL_PLAIN)
         # The locative rides on the oblique base (marath-il), not the
         # nominative; patch the slot built above.
-        singular[6] = oblique + _LOC_PLAIN
+        singular[6] = _join(oblique, _LOC_PLAIN)
         return singular + _noun_number_block(plural, _LOC_PLAIN, _ABL_PLAIN)
     singular = _noun_number_block(root, _LOC_ANIMATE, _ABL_ANIMATE)
     return singular + _noun_number_block(plural, _LOC_ANIMATE, _ABL_ANIMATE)
 
 
-def _verb_forms(root: GraphemeWord) -> list[str]:
-    forms = []
-    for series in (_PAST, _PRESENT, _FUTURE, _NEGATIVE):
-        forms.extend(root.text + ending for ending in series)
-    return forms
+def _verb_forms(root: GraphemeWord) -> list[GraphemeWord]:
+    return [
+        _join(root, ending)
+        for series in (_PAST, _PRESENT, _FUTURE, _NEGATIVE)
+        for ending in series
+    ]
 
 
 def generate_forms(
@@ -113,7 +143,7 @@ def generate_forms(
         surfaces = _verb_forms(w)
     else:
         raise ValueError(f"unknown paradigm: {paradigm!r}")
-    return [(word(s), w) for s in surfaces]
+    return [(s, w) for s in surfaces]
 
 
 def load_roots(text: str) -> list[tuple[GraphemeWord, str]]:

@@ -499,3 +499,91 @@ def test_conflict_warning_goes_to_the_given_stderr_on_every_run(argv, capsys):
             "surfaces (first occurrence wins): பெண்கள்\n"
         )
     assert capsys.readouterr().err == ""
+
+
+def test_version_goes_to_the_given_stdout(capsys):
+    out = f"tamilstem {tamilstem.__version__}\n"
+    assert run_cli(["--version"]) == (EX_OK, out, "")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv,start",
+    [
+        (["--help"], "usage: tamilstem [-h] [--version]\n"),
+        (["stem", "--help"], "usage: tamilstem stem [-h] "),
+    ],
+    ids=["help", "stem-help"],
+)
+def test_help_goes_to_the_given_stdout(argv, start, capsys):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (EX_OK, "")
+    assert out.startswith(start)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_reuses_its_parser_with_the_same_results():
+    gold = run_cli(["generate", "--paradigm", "verb"], "படி\n")[1]
+    calls = [
+        (["compare", "--format", "yaml"], gold),
+        (["compare", "--chunks", "20,41", "--format", "csv"], gold),
+        (["stem", "--trace"], "மரங்கள்உக்கு\nபெண்கள்\n"),
+        (["generate", "--paradigm", "noun"], "மரம்\nபெண்\n"),
+        (["rules-validate"], ""),
+        (["compare", "--format", "yaml"], gold),
+    ]
+    in_sequence = [run_cli(*call) for call in calls]
+    assert [code for code, _, _ in in_sequence] == [64, 0, 0, 0, 0, 64]
+    assert cli._build_parser() is cli._build_parser()
+    for call, result in zip(calls, in_sequence):
+        cli._build_parser.cache_clear()
+        assert run_cli(*call) == result, call
+
+
+# Pieces of fuzz input: text the commands parse, the bytes that trip
+# readers up (BOM, CR, tab, NUL, invalid and truncated UTF-8) and
+# Tamil letters cut off after one or two of their three bytes.
+_FUZZ_PIECES = [
+    "மரம்".encode(), "பெண்கள்".encode(), "படி".encode(), "உக்கு".encode(),
+    b"Case", b"Plural", b"1", b"s", b"a", b" ", b"#",
+    b"\xef\xbb\xbf", b"\r", b"\n", b"\r\n", b"\t", b"\x00",
+    b"\xff", b"\xc3\x28", "க".encode()[:1], "க".encode()[:2],
+]
+
+
+def _fuzz_bytes(rng):
+    pieces = rng.choices(_FUZZ_PIECES, k=rng.randint(0, 14))
+    if rng.random() < 0.3:
+        pieces.append(rng.randbytes(rng.randint(1, 8)))
+    return b"".join(pieces)
+
+
+def test_random_bytes_never_escape_main(tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "input.tsv"
+    commands = [
+        ["stem"],
+        ["stem", "--algo", "strip", "--trace"],
+        ["stem", "--rules", str(path)],
+        ["eval"],
+        ["eval", "--gold", str(path)],
+        ["compare", "--chunks", "1,2", "--format", "csv"],
+        ["compare", "--rules", str(path)],
+        ["rules-validate", str(path)],
+        ["generate", "--paradigm", "noun"],
+        ["generate", "--paradigm", "verb"],
+    ]
+    codes = collections.Counter()
+    for _ in range(1500):
+        argv = rng.choice(commands)
+        data = _fuzz_bytes(rng)
+        path.write_bytes(_fuzz_bytes(rng) if rng.random() < 0.5 else data)
+        for errors in ("strict", "surrogateescape"):
+            stdin = io.TextIOWrapper(
+                io.BytesIO(data), encoding="utf-8", errors=errors, newline="\n"
+            )
+            stdout, stderr = io.StringIO(), io.StringIO()
+            code = main(argv, stdin=stdin, stdout=stdout, stderr=stderr)
+            assert code in (EX_OK, EX_DATA), (argv, data, stderr.getvalue())
+            codes[code] += 1
+    assert codes[EX_OK] > 100 and codes[EX_DATA] > 100, codes

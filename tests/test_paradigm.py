@@ -1,8 +1,16 @@
 """Inflection table generation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tamilstem.graphemes import word
+from tamilstem import paradigm
+from tamilstem.graphemes import (
+    _CONSONANTS,
+    _INDEPENDENT_VOWELS,
+    normalize,
+    segment,
+    word,
+)
 from tamilstem.paradigm import (
     PARADIGMS,
     build_corpus,
@@ -121,3 +129,96 @@ def test_build_corpus_shape():
 def test_build_corpus_accepts_custom_roots():
     pairs = build_corpus([("படி", "verb")])
     assert pairs == generate_forms("படி", "verb")
+
+
+# Every ending the tables attach to a base.
+_ENDINGS = sorted({
+    *paradigm._SHARED_CASES, paradigm._VOCATIVE,
+    paradigm._LOC_ANIMATE, paradigm._ABL_ANIMATE,
+    paradigm._LOC_PLAIN, paradigm._ABL_PLAIN, paradigm._OBLIQUE,
+    paradigm._PLURAL, paradigm._M_PLURAL,
+    *paradigm._PAST, *paradigm._PRESENT, *paradigm._FUTURE,
+    *paradigm._NEGATIVE,
+})
+
+
+def _text_forms(root, kind):
+    """The surfaces as text concatenations, each then run through
+    `word`: how forms were built before they were joined letter by
+    letter, kept here as the oracle."""
+    w = word(root)
+    if len(w) < 2:
+        raise ValueError(
+            f"root too short: need at least 2 letters, got {w.text!r}"
+        )
+
+    def block(base, loc, abl):
+        return [base] + [
+            base + e for e in (*paradigm._SHARED_CASES, loc, abl, paradigm._VOCATIVE)
+        ]
+
+    if kind == "verb":
+        series = (paradigm._PAST, paradigm._PRESENT, paradigm._FUTURE,
+                  paradigm._NEGATIVE)
+        texts = [w.text + e for endings in series for e in endings]
+    elif is_m_final(w):
+        stem = "".join(w.graphemes[:-1])
+        plural = word(stem + "ங்கள்").text
+        loc, abl = paradigm._LOC_PLAIN, paradigm._ABL_PLAIN
+        texts = block(w.text, loc, abl)
+        texts[6] = stem + paradigm._OBLIQUE + loc
+        texts += block(plural, loc, abl)
+    else:
+        plural = word(w.text + "கள்").text
+        loc, abl = paradigm._LOC_ANIMATE, paradigm._ABL_ANIMATE
+        texts = block(w.text, loc, abl) + block(plural, loc, abl)
+    return [(word(s), w) for s in texts]
+
+
+def test_every_ending_starts_with_a_consonant_or_independent_vowel():
+    for ending in _ENDINGS:
+        assert ending[0] in _CONSONANTS | _INDEPENDENT_VOWELS, ending
+
+
+def test_joining_an_ending_after_any_code_point_of_the_tamil_block():
+    # The invariant the paradigm relies on: nothing before an ending
+    # composes with it under NFC or absorbs any of its letters.
+    chars = [chr(c) for c in range(0x0B80, 0x0C00)] + ["\u200c", "\u200d"]
+    for ending in _ENDINGS:
+        tail = segment(ending).graphemes
+        for c in chars:
+            assert normalize(c + ending) == normalize(c) + ending, ascii(c + ending)
+            letters = segment(normalize(c + ending)).graphemes
+            assert letters[len(letters) - len(tail):] == tail, ascii(c + ending)
+            assert letters == segment(normalize(c)).graphemes + tail
+
+
+# Pieces of random roots: Tamil letters and signs, the m-final letter,
+# Latin, combining marks (one above U+0300 sends text off the fast
+# path), the joiners, decomposed ொ and ஔ, and a lone surrogate.
+_ROOT_PIECES = [
+    *"கஙசடணதநபமயரலவழளறன",
+    *"\u0bbe\u0bbf\u0bc0\u0bc1\u0bc6\u0bc7\u0bc8\u0bcd\u0bd7",
+    *"அஆஇஉஎஐஒஓஃ\u0b82",
+    "ம்", "a", "Z", "e\u0301", "\u0300", "\u0327",
+    "\u200c", "\u200d", "\u0bc6\u0bbe", "\u0b92\u0bd7", "\udcff",
+]
+
+
+@settings(max_examples=500, derandomize=True)
+@given(
+    st.lists(st.sampled_from(_ROOT_PIECES), max_size=8).map("".join),
+    st.sampled_from(["", "ம்"]),
+    st.sampled_from(PARADIGMS),
+)
+def test_property_joined_forms_match_the_text_oracle(root, m_final, kind):
+    root += m_final
+    try:
+        expected = _text_forms(root, kind)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            generate_forms(root, kind)
+        assert str(info.value) == str(exc)
+        return
+    assert generate_forms(root, kind) == expected
+    assert generate_forms(word(root), kind) == expected
