@@ -1,33 +1,14 @@
 """Tamil stemming toolkit: letter segmentation, declarative suffix
 rules, two stemming engines, a paradigm generator, and an evaluation
-harness."""
+harness.
 
-from .evaluation import (
-    DatasetStats,
-    EvalReport,
-    EvalRow,
-    GoldConflictWarning,
-    GoldEntry,
-    GoldError,
-    accuracy,
-    bundled_gold,
-    compare,
-    dataset_stats,
-    evaluate,
-    extra_gold,
-    format_accuracy,
-    load_gold,
-    parse_report_csv,
-    render,
-)
+``import tamilstem`` loads only the stemming engine (``graphemes``,
+``rules`` and ``stemmers``).  The names of ``evaluation`` and
+``paradigm`` load their module on first access (PEP 562), so a process
+that only stems never imports ``csv``, ``json`` or ``fractions``.
+"""
+
 from .graphemes import GraphemeWord, ends_with, is_tamil, normalize, segment, word
-from .paradigm import (
-    PARADIGMS,
-    build_corpus,
-    default_roots,
-    generate_forms,
-    load_roots,
-)
 from .rules import (
     ALL_CLASSES,
     RuleConflictError,
@@ -107,3 +88,53 @@ __all__ = [
     "word",
     "__version__",
 ]
+
+# Public names loaded on first access, by home module.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "DatasetStats",
+            "EvalReport",
+            "EvalRow",
+            "GoldConflictWarning",
+            "GoldEntry",
+            "GoldError",
+            "accuracy",
+            "bundled_gold",
+            "compare",
+            "dataset_stats",
+            "evaluate",
+            "extra_gold",
+            "format_accuracy",
+            "load_gold",
+            "parse_report_csv",
+            "render",
+        ),
+        "evaluation",
+    ),
+    **dict.fromkeys(
+        ("PARADIGMS", "build_corpus", "default_roots", "generate_forms", "load_roots"),
+        "paradigm",
+    ),
+}
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        import sys
+
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}",
+            name=name,
+            obj=sys.modules[__name__],
+        )
+    from importlib import import_module
+
+    # Bound here, later lookups never reach this function.
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -21,19 +21,7 @@ import warnings
 from functools import lru_cache
 
 from . import __version__
-from .evaluation import (
-    GoldConflictWarning,
-    GoldError,
-    accuracy,
-    compare,
-    evaluate,
-    format_accuracy,
-    load_gold,
-    render,
-    REPORT_FORMATS,
-)
 from .graphemes import _data_lines, _lines, _packaged_text
-from .paradigm import PARADIGMS, generate_forms
 from .rules import (
     RuleConflictError,
     RuleError,
@@ -73,6 +61,17 @@ class _Printed(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # A command's parser may carry a function that adds its arguments on
+    # its first parse, so that building the parser imports no module
+    # that only another command uses (``stem`` never loads evaluation).
+    deferred_arguments = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.deferred_arguments is not None:
+            add, self.deferred_arguments = self.deferred_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
@@ -138,22 +137,26 @@ def _build_parser() -> _Parser:
     )
     add_rules_flag(p_eval)
 
-    p_cmp = sub.add_parser(
+    def compare_arguments(p_cmp):
+        from .evaluation import REPORT_FORMATS
+
+        p_cmp.add_argument(
+            "--gold", metavar="PATH",
+            help="gold file (default: read gold data from stdin)",
+        )
+        p_cmp.add_argument(
+            "--chunks", type=_chunk_list, metavar="N,N,...",
+            help="cumulative chunk sizes (default: one chunk of everything)",
+        )
+        p_cmp.add_argument(
+            "--format", choices=REPORT_FORMATS, default="table",
+            help="report format (default: table)",
+        )
+        add_rules_flag(p_cmp)
+
+    sub.add_parser(
         "compare", help="score both engines over cumulative chunks"
-    )
-    p_cmp.add_argument(
-        "--gold", metavar="PATH",
-        help="gold file (default: read gold data from stdin)",
-    )
-    p_cmp.add_argument(
-        "--chunks", type=_chunk_list, metavar="N,N,...",
-        help="cumulative chunk sizes (default: one chunk of everything)",
-    )
-    p_cmp.add_argument(
-        "--format", choices=REPORT_FORMATS, default="table",
-        help="report format (default: table)",
-    )
-    add_rules_flag(p_cmp)
+    ).deferred_arguments = compare_arguments
 
     p_val = sub.add_parser("rules-validate", help="lint a rule file")
     p_val.add_argument(
@@ -161,13 +164,17 @@ def _build_parser() -> _Parser:
         help="rule file to check (default: the built-in rules)",
     )
 
-    p_gen = sub.add_parser(
+    def generate_arguments(p_gen):
+        from .paradigm import PARADIGMS
+
+        p_gen.add_argument(
+            "--paradigm", choices=PARADIGMS, required=True,
+            help="inflection table to apply to every root",
+        )
+
+    sub.add_parser(
         "generate", help="expand roots from stdin into gold-format pairs"
-    )
-    p_gen.add_argument(
-        "--paradigm", choices=PARADIGMS, required=True,
-        help="inflection table to apply to every root",
-    )
+    ).deferred_arguments = generate_arguments
     return parser
 
 
@@ -199,6 +206,8 @@ def _load_rules(path: "str | None") -> RuleSet:
 
 
 def _load_gold_entries(path, stdin):
+    from .evaluation import GoldError, load_gold
+
     text = _read_file(path) if path is not None else stdin.read()
     source = path if path is not None else "<stdin>"
     try:
@@ -222,6 +231,8 @@ def _reporting_warnings(stderr, score, *args):
     `GoldConflictWarning`, to *stderr*.  Left to `warnings`, a conflict
     would go to ``sys.stderr`` with a source line, and only once per
     process."""
+    from .evaluation import GoldConflictWarning
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", GoldConflictWarning)
         result = score(*args)
@@ -273,6 +284,8 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_eval(args, stdin, stdout, stderr) -> int:
+    from .evaluation import accuracy, evaluate, format_accuracy
+
     rules = _load_rules(args.rules)
     engine = ENGINES[args.algo]
     entries = _load_gold_entries(args.gold, stdin)
@@ -287,6 +300,8 @@ def _cmd_eval(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_compare(args, stdin, stdout, stderr) -> int:
+    from .evaluation import compare, render
+
     rules = _load_rules(args.rules)
     entries = _load_gold_entries(args.gold, stdin)
     chunks = args.chunks if args.chunks is not None else [len(entries)]
@@ -315,6 +330,8 @@ def _cmd_rules_validate(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_generate(args, stdin, stdout, stderr) -> int:
+    from .paradigm import generate_forms
+
     write = stdout.write
     for lineno, raw in _data_lines(stdin):
         line = raw.strip()
@@ -368,3 +385,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 def entry() -> None:
     """Console-script entry point."""
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -29,10 +29,10 @@ is already NFC.  The tests pin those four pairs against the running
 Python's ``unicodedata`` and check ``normalize`` against plain NFC.
 """
 
+import os
 import re
 import unicodedata
 from dataclasses import dataclass
-from importlib import resources
 
 # Tamil block ranges (U+0B80..U+0BFF).
 _AYTHAM = "ஃ"                      # ஃ stands alone
@@ -234,9 +234,10 @@ def is_tamil(w: GraphemeWord) -> bool:
 
 
 def _packaged_text(name: str) -> str:
-    """The UTF-8 text of a data file shipped in ``tamilstem/data``."""
-    data = resources.files("tamilstem.data")
-    return data.joinpath(name).read_text(encoding="utf-8")
+    """The UTF-8 text of a data file shipped in ``tamilstem/data``, read
+    through this module's loader, so from a zip too."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 def _lines(source):

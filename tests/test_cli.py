@@ -20,7 +20,8 @@ from tamilstem.cli import (
     EX_USAGE,
     main,
 )
-from tamilstem.paradigm import build_corpus
+from tamilstem.evaluation import REPORT_FORMATS
+from tamilstem.paradigm import PARADIGMS, build_corpus
 from tamilstem.rules import builtin_rules, parse_rules
 from tamilstem.stemmers import ENGINES
 
@@ -252,13 +253,14 @@ def test_console_script_runs():
 _ENTRY = "from tamilstem.cli import entry; entry()"
 
 
-def run_entry(argv, data: bytes, io_encoding: str):
-    """Run the console entry point in a fresh interpreter on raw bytes."""
+def run_entry(argv, data: bytes, io_encoding: str, launch=("-c", _ENTRY)):
+    """Run the console entry point in a fresh interpreter on raw bytes;
+    *launch* names the code to run as ``python`` options."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tamilstem.__file__))
     env["PYTHONIOENCODING"] = io_encoding
     return subprocess.run(
-        [sys.executable, "-c", _ENTRY, *argv],
+        [sys.executable, *launch, *argv],
         input=data,
         capture_output=True,
         timeout=60,
@@ -301,6 +303,19 @@ def test_bom_on_stdin_is_dropped_in_a_subprocess():
     proc = run_entry(["stem"], "﻿பெண்கள்\n".encode(), "utf-8")
     assert proc.returncode == EX_OK
     assert proc.stdout.decode() == "பெண்கள்\tபெண்\n"
+
+
+@pytest.mark.parametrize("module", ["tamilstem", "tamilstem.cli"])
+def test_python_m_runs_the_cli(module):
+    launch = ("-m", module)
+    version = run_entry(["--version"], b"", "utf-8", launch)
+    assert (version.returncode, version.stdout, version.stderr) == (
+        EX_OK, b"tamilstem 0.1.0\n", b""
+    )
+    stem = run_entry(["stem"], "பெண்கள்\n".encode(), "utf-8", launch)
+    assert (stem.returncode, stem.stdout.decode(), stem.stderr) == (
+        EX_OK, "பெண்கள்\tபெண்\n", b""
+    )
 
 
 @pytest.mark.parametrize(
@@ -520,6 +535,11 @@ def test_help_goes_to_the_given_stdout(argv, start, capsys):
     assert (code, err) == (EX_OK, "")
     assert out.startswith(start)
     assert capsys.readouterr() == ("", "")
+
+
+def test_deferred_arguments_take_their_choices_from_their_modules():
+    assert "{%s}" % ",".join(REPORT_FORMATS) in run_cli(["compare", "--help"])[1]
+    assert "{%s}" % ",".join(PARADIGMS) in run_cli(["generate", "--help"])[1]
 
 
 def test_main_reuses_its_parser_with_the_same_results():
