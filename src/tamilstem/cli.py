@@ -10,12 +10,14 @@ Subcommands:
 
 Exit codes: 0 success; 2 rule conflicts found by ``rules-validate``;
 64 bad command line; 65 malformed or undecodable input data (with line
-numbers where known); 66 unreadable input file.
+numbers where known); 66 unreadable input file or closed stdin; 141 (from
+the console script) output pipe closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from functools import lru_cache
@@ -37,6 +39,7 @@ EX_RULE_CONFLICT = 2
 EX_USAGE = 64
 EX_DATA = 65
 EX_NOINPUT = 66
+EX_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose pipe closed
 
 # Most distinct tokens one ``stem`` run remembers the output of (a few
 # MB of strings at most).
@@ -79,6 +82,16 @@ class _Parser(argparse.ArgumentParser):
         # The one call through which argparse's help and version actions
         # print; usage errors never get here (see `error`).
         raise _Printed(message)
+
+
+class _ClosedStdin:
+    """What `entry` reads when file descriptor 0 is closed: any read is
+    an unreadable-input error, raised only if the command reads stdin."""
+
+    def _closed(self, *args):
+        raise _CliError(EX_NOINPUT, "cannot read <stdin>: it is closed")
+
+    read = __iter__ = _closed
 
 
 def _chunk_list(text: str) -> list[int]:
@@ -383,8 +396,27 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def entry() -> None:
-    """Console-script entry point."""
-    sys.exit(main())
+    """Console-script entry point.
+
+    stdin, stdout and stderr are UTF-8 whatever the locale, each keeping
+    its error handler (``reconfigure`` would reset it to strict).  A
+    closed output pipe exits 141 with nothing on stderr.
+    """
+    for stream in (sys.stdin, sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
+    stdin = sys.stdin if sys.stdin is not None else _ClosedStdin()
+    try:
+        code = main(stdin=stdin)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; with fd 1 on
+        # /dev/null that flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EX_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,11 @@ and stripping stops at a terminal class.  Substitution rules (plural
 ``ங்கள்``→``ம்``, participle ``டிய``→``டு``) restore the base form
 instead of merely cutting.
 
-Both engines leave unmatched words untouched, including non-Tamil input.
+Both engines are one walk, ``_walk``, under the two class policies, and
+both leave unmatched words untouched, including non-Tamil input.  Light
+takes strip's steps until strip takes a class outside the previous rule's
+``next_classes``, so ``compare`` reads light's result off strip's walk
+and walks light again only for a word where strip does that.
 """
 
 from __future__ import annotations
@@ -60,26 +64,21 @@ class StemResult:
 
 
 def _walk(
-    rules: RuleSet | None,
-    text: GraphemeWord | str,
-    allowed: int,
-    chain: bool,
-    max_steps: int | None = None,
+    rules: RuleSet | None, text: GraphemeWord | str, chain: bool
 ) -> StemResult:
     """Apply the first candidate rule repeatedly, recording each step.
 
-    *allowed* is a class mask.  With *chain*, each applied rule's
-    ``next_classes`` become the classes allowed next, and a terminal
-    rule ends the walk; without it every step may use any class in
-    *allowed*.  Stops when no rule matches or after *max_steps*
-    applications.  Every rule shortens the word, so the walk always
-    terminates.
+    Any class may match first.  With *chain*, each applied rule's
+    ``next_classes`` become the classes allowed next, so a terminal
+    rule ends the walk; without it every step may use any class.
+    Every rule shortens the word, so the walk always terminates.
     """
     if rules is None:
         rules = builtin_rules()
     start = w = _as_word(text)
     trace = []
-    while max_steps is None or len(trace) < max_steps:
+    allowed = _ALL
+    while allowed:
         entry = _first_match(rules, w.graphemes, allowed)
         if entry is None:
             break
@@ -88,8 +87,6 @@ def _walk(
         trace.append(StemStep(rule, w, after))
         w = after
         if chain:
-            if not next_mask:
-                break
             allowed = next_mask
     return StemResult(start, w, tuple(trace))
 
@@ -102,7 +99,7 @@ def strip_stem(
     Stops when no rule matches or stripping would drop below a rule's
     minimum stem length.
     """
-    return _walk(rules, text, _ALL, chain=False)
+    return _walk(rules, text, chain=False)
 
 
 def stem_batch(
@@ -126,25 +123,40 @@ def stem_batch(
     return out
 
 
+def _step(
+    rules: RuleSet | None, text: GraphemeWord | str, allowed: int
+) -> GraphemeWord:
+    """The word after the first candidate rule whose class is in the
+    mask *allowed*, or the word as is."""
+    if rules is None:
+        rules = builtin_rules()
+    w = _as_word(text)
+    entry = _first_match(rules, w.graphemes, allowed)
+    if entry is None:
+        return w
+    rule, _bit, _next_mask, _shortest, merges = entry
+    return _apply(w, rule, merges)
+
+
 def strip_plural(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Apply the single longest plural rule, or return the word as is."""
-    return _walk(rules, text, _PLURAL, chain=False, max_steps=1).stem
+    return _step(rules, text, _PLURAL)
 
 
 def adjectival_to_verb(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Substitute an adjectival-participle ending with its verb base."""
-    return _walk(rules, text, _PARTICIPLE, chain=False, max_steps=1).stem
+    return _step(rules, text, _PARTICIPLE)
 
 
 def strip_tense(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Remove one finite-verb ending (tense, negative, or bare PNG)."""
-    return _walk(rules, text, _TENSE_LAYER, chain=False, max_steps=1).stem
+    return _step(rules, text, _TENSE_LAYER)
 
 
 def light_stem(
@@ -156,7 +168,7 @@ def light_stem(
     belong to the previous rule's ``next_classes``.  An empty
     ``next_classes`` marks a terminal layer and ends the loop.
     """
-    return _walk(rules, text, _ALL, chain=True)
+    return _walk(rules, text, chain=True)
 
 
 def _both(
@@ -164,35 +176,20 @@ def _both(
 ) -> tuple[StemResult, StemResult]:
     """``(strip_stem(text, rules), light_stem(text, rules))`` in one walk.
 
-    Strip's walk runs with light's class mask tracked alongside.  While
-    strip's rule is in that mask it is light's rule too: both probe the
-    same index in the same order, and light's mask is a subset of
-    strip's.  Light's result is taken where its chain ends; if strip
-    stops while that chain is open, light stops there too and both are
-    the same (frozen) `StemResult`.  Once strip picks a rule the mask
-    forbids, light may part ways, so ``light_stem`` walks that word
-    again from the start.
+    While each of strip's steps takes a class in the previous rule's
+    ``next_classes``, light takes the same steps: both probe the same
+    index in the same order, and light allows a subset of strip's
+    classes.  If all of strip's steps do, both are the same (frozen)
+    `StemResult`.  Past the first that does not, light has stopped or
+    parted ways, so it walks the word again.
     """
-    start = w = _as_word(text)
-    trace = []
-    light = None
-    mask = _ALL  # the classes light allows next, 0 once light has stopped
-    while True:
-        entry = _first_match(rules, w.graphemes, _ALL)
-        if entry is None:
-            break
-        rule, bit, next_mask, _shortest, merges = entry
-        if mask and not bit & mask:
-            light, mask = light_stem(start, rules), 0
-        after = _apply(w, rule, merges)
-        trace.append(StemStep(rule, w, after))
-        w = after
-        if mask:
-            if not next_mask:
-                light = StemResult(start, w, tuple(trace))
-            mask = next_mask
-    strip = StemResult(start, w, tuple(trace))
-    return strip, strip if light is None else light
+    strip = _walk(rules, text, chain=False)
+    trace = strip.trace
+    if len(trace) > 1:  # most words take 0 or 1 step: skip the slice
+        for prev, step in zip(trace, trace[1:]):
+            if step.rule.klass not in prev.rule.next_classes:
+                return strip, _walk(rules, strip.word, chain=True)
+    return strip, strip
 
 
 ENGINES = {"strip": strip_stem, "light": light_stem}

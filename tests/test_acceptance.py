@@ -8,7 +8,8 @@ fails loudly if its property does not hold within the stated budget:
 3. light scores at least as high as strip on the bundled gold set,
    and strip scores >= 85%
 4. both engines are idempotent over a 10,000-word fuzz corpus
-5. strip's first applied rule is always the longest applicable one,
+5. strip's first applied rule, and the rule each single-step helper
+   applies within its classes, is always the longest applicable one,
    against brute-force search over an exhaustive bounded universe
 6. the one walk `compare` runs for both engines gives each engine's own
    result over that universe and the fuzz corpus
@@ -279,12 +280,23 @@ def _oracle_rules():
 def test_strip_first_rule_is_exhaustive_longest_match(capsys):
     subset = _oracle_rules()
     universe = _oracle_universe(subset)
+    C = ts.SuffixClass
+    # The single-step helpers apply the first rule within their classes.
+    helpers = [
+        (ts.strip_plural, {C.PLURAL}),
+        (ts.adjectival_to_verb, {C.ADJECTIVAL_PARTICIPLE}),
+        (
+            ts.strip_tense,
+            {C.TENSE, C.NEGATIVE_COMPOUND, C.PERSON_NUMBER_GENDER},
+        ),
+    ]
 
-    def brute_force_best(w):
+    def brute_force_best(w, classes=ts.ALL_CLASSES):
         applicable = [
             r
             for r in subset.rules
-            if ts.ends_with(w, r.pattern)
+            if r.klass in classes
+            and ts.ends_with(w, r.pattern)
             and len(w) - len(r.pattern) + len(r.replacement) >= r.min_stem
         ]
         if not applicable:
@@ -298,11 +310,16 @@ def test_strip_first_rule_is_exhaustive_longest_match(capsys):
         got = trace[0].rule if trace else None
         if got is not expected:
             violations.append((w.text, expected, got))
+        for helper, classes in helpers:
+            best = brute_force_best(w, classes)
+            stem = w if best is None else ts.apply_rule(w, best)
+            if helper(w, subset) != stem:
+                violations.append((helper.__name__, w.text, stem.text))
     _report(
         capsys,
         not violations,
         f"longest-match agrees with brute force on {len(universe)} words "
-        f"x 30 rules"
+        f"x 30 rules, for strip_stem and the 3 single-step helpers"
         if not violations
         else f"{len(violations)} violations, first: {violations[:3]}",
     )

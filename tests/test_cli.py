@@ -16,6 +16,7 @@ from tamilstem.cli import (
     EX_DATA,
     EX_NOINPUT,
     EX_OK,
+    EX_PIPE,
     EX_RULE_CONFLICT,
     EX_USAGE,
     main,
@@ -253,18 +254,22 @@ def test_console_script_runs():
 _ENTRY = "from tamilstem.cli import entry; entry()"
 
 
-def run_entry(argv, data: bytes, io_encoding: str, launch=("-c", _ENTRY)):
-    """Run the console entry point in a fresh interpreter on raw bytes;
-    *launch* names the code to run as ``python`` options."""
+def _entry_env(io_encoding: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tamilstem.__file__))
     env["PYTHONIOENCODING"] = io_encoding
+    return env
+
+
+def run_entry(argv, data: bytes, io_encoding: str, launch=("-c", _ENTRY)):
+    """Run the console entry point in a fresh interpreter on raw bytes;
+    *launch* names the code to run as ``python`` options."""
     return subprocess.run(
         [sys.executable, *launch, *argv],
         input=data,
         capture_output=True,
         timeout=60,
-        env=env,
+        env=_entry_env(io_encoding),
     )
 
 
@@ -303,6 +308,56 @@ def test_bom_on_stdin_is_dropped_in_a_subprocess():
     proc = run_entry(["stem"], "﻿பெண்கள்\n".encode(), "utf-8")
     assert proc.returncode == EX_OK
     assert proc.stdout.decode() == "பெண்கள்\tபெண்\n"
+
+
+@pytest.mark.parametrize("io_encoding", ["latin-1", "ascii"])
+def test_stdio_is_utf8_whatever_the_locale(io_encoding):
+    proc = run_entry(["stem"], "மரங்கள்\n".encode(), io_encoding)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (
+        EX_OK, "மரங்கள்\tமரம்\n", b""
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,data",
+    [
+        # More output than a pipe holds, so writes go on after the
+        # reader has gone.
+        (["stem"], "மரங்கள்\n".encode() * 10_000),
+        (["generate", "--paradigm", "verb"], "படி\n".encode() * 2_000),
+    ],
+    ids=["stem", "generate"],
+)
+def test_closed_output_pipe_exits_141_quietly(argv, data, tmp_path):
+    source = tmp_path / "input"
+    source.write_bytes(data)
+    with open(source, "rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ENTRY, *argv],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_entry_env("utf-8"),
+        )
+    with proc.stderr:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EX_PIPE
+        assert proc.stderr.read() == b""
+
+
+def test_closed_stdin_exits_66():
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY, "stem"],
+        stdin=subprocess.DEVNULL,
+        preexec_fn=lambda: os.close(0),
+        capture_output=True,
+        timeout=60,
+        env=_entry_env("utf-8"),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+        EX_NOINPUT, b"", "tamilstem: error: cannot read <stdin>: it is closed\n"
+    )
 
 
 @pytest.mark.parametrize("module", ["tamilstem", "tamilstem.cli"])
