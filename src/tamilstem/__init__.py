@@ -6,88 +6,18 @@ harness.
 ``rules`` and ``stemmers``).  The names of ``evaluation`` and
 ``paradigm`` load their module on first access (PEP 562), so a process
 that only stems never imports ``csv``, ``json`` or ``fractions``.
+
+Each public name is declared once: an engine name in the ``__all__`` of
+its own module, beside its definition, and a lazy name in ``_LAZY``.
+The package's ``__all__`` joins those lists.
 """
 
-from .graphemes import GraphemeWord, ends_with, is_tamil, normalize, segment, word
-from .rules import (
-    ALL_CLASSES,
-    RuleConflictError,
-    RuleError,
-    RuleSet,
-    SuffixClass,
-    SuffixRule,
-    apply_rule,
-    builtin_rules,
-    candidates,
-    parse_rules,
-    render_rules,
-    validate_rules,
-)
-from .stemmers import (
-    ENGINES,
-    StemResult,
-    StemStep,
-    adjectival_to_verb,
-    light_stem,
-    stem_batch,
-    strip_plural,
-    strip_stem,
-    strip_tense,
-)
+from . import graphemes, rules, stemmers
+from .graphemes import *
+from .rules import *
+from .stemmers import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_CLASSES",
-    "DatasetStats",
-    "ENGINES",
-    "EvalReport",
-    "EvalRow",
-    "GoldConflictWarning",
-    "GoldEntry",
-    "GoldError",
-    "GraphemeWord",
-    "PARADIGMS",
-    "RuleConflictError",
-    "RuleError",
-    "RuleSet",
-    "StemResult",
-    "StemStep",
-    "SuffixClass",
-    "SuffixRule",
-    "accuracy",
-    "adjectival_to_verb",
-    "apply_rule",
-    "builtin_rules",
-    "build_corpus",
-    "bundled_gold",
-    "candidates",
-    "compare",
-    "dataset_stats",
-    "default_roots",
-    "ends_with",
-    "evaluate",
-    "extra_gold",
-    "format_accuracy",
-    "generate_forms",
-    "is_tamil",
-    "light_stem",
-    "load_gold",
-    "load_roots",
-    "normalize",
-    "parse_report_csv",
-    "parse_rules",
-    "render",
-    "render_rules",
-    "segment",
-    "stem_batch",
-    "strip_plural",
-    "strip_stem",
-    "strip_tense",
-    "validate_rules",
-    "word",
-    "__version__",
-]
 
 # Public names loaded on first access, by home module.
 _LAZY = {
@@ -117,6 +47,10 @@ _LAZY = {
         "paradigm",
     ),
 }
+
+__all__ = [
+    *graphemes.__all__, *rules.__all__, *stemmers.__all__, *_LAZY, "__version__"
+]
 
 
 def __getattr__(name):

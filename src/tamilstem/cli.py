@@ -11,12 +11,15 @@ Subcommands:
 Exit codes: 0 success; 2 rule conflicts found by ``rules-validate``;
 64 bad command line; 65 malformed or undecodable input data (with line
 numbers where known); 66 unreadable input file or closed stdin; 141 (from
-the console script) output pipe closed by its reader.
+the console script) output pipe closed by its reader, or stdout closed.
+With stderr closed, the console script drops its messages and keeps its
+exit code and stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import warnings
@@ -395,19 +398,42 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     return error.code
 
 
+def _writable(stream) -> bool:
+    """Whether *stream*, ``sys.stdout`` or ``sys.stderr``, takes writes.
+
+    It is None when its descriptor was closed at start-up.  A zero-byte
+    write, which writes nothing, also fails on a descriptor left open
+    read-only in place of a closed one (a launcher script can leave its
+    own file there), where ``os.fstat`` succeeds.  It succeeds on a pipe
+    whose reader is gone, which exits 141 at the first real write.
+    """
+    if stream is None:
+        return False
+    try:
+        os.write(stream.fileno(), b"")
+    except OSError:
+        return False
+    return True
+
+
 def entry() -> None:
     """Console-script entry point.
 
     stdin, stdout and stderr are UTF-8 whatever the locale, each keeping
     its error handler (``reconfigure`` would reset it to strict).  A
-    closed output pipe exits 141 with nothing on stderr.
+    closed output pipe, or a closed stdout, exits 141 with nothing on
+    stderr.  With stderr closed, messages are dropped and the exit code
+    and stdout are those of a run with it open.
     """
+    if not _writable(sys.stdout):
+        sys.exit(EX_PIPE)  # as if the reader had left before any write
     for stream in (sys.stdin, sys.stdout, sys.stderr):
         if stream is not None:
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
     stdin = sys.stdin if sys.stdin is not None else _ClosedStdin()
+    stderr = sys.stderr if _writable(sys.stderr) else io.StringIO()
     try:
-        code = main(stdin=stdin)
+        code = main(stdin=stdin, stderr=stderr)
         sys.stdout.flush()  # so a closed pipe fails here, not at exit
     except BrokenPipeError:
         # The interpreter flushes stdout again at exit; with fd 1 on

@@ -13,9 +13,8 @@ that meets any raises one `GoldConflictWarning` naming them all.
 
 A comparison report runs both engines over cumulative prefixes of a
 gold sequence ("the first 200 entries, the first 400, …") and appends
-the arithmetic mean of the per-chunk accuracies.  Both engines share
-one walk per surface while light's class chain allows the rule strip
-takes (`stemmers._both`), and no surface after the last chunk is
+the arithmetic mean of the per-chunk accuracies.  Both engines run
+through `stemmers._both`, and no surface after the last chunk is
 stemmed.
 """
 

@@ -34,6 +34,8 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
+__all__ = ["GraphemeWord", "ends_with", "is_tamil", "normalize", "segment", "word"]
+
 # Tamil block ranges (U+0B80..U+0BFF).
 _AYTHAM = "ஃ"                      # ஃ stands alone
 _INDEPENDENT_VOWELS = frozenset(chr(c) for c in range(0x0B85, 0x0B95))
@@ -48,12 +50,21 @@ _DEPENDENT_SIGNS = frozenset(
 
 _ZERO_WIDTH_JOINERS = frozenset("‌‍")
 
-# The combining marks (Mn, Mc, Me) of the Tamil block.  No code point
-# below U+0300 is one, so with the joiners these are all the marks a base
-# character can absorb in text that `_OUTSIDE_FAST_RANGE` does not match.
+
+def _joins_previous(ch: str) -> bool:
+    """Whether segmentation attaches *ch* to any letter before it: a
+    combining mark (Mn, Mc, Me) or a zero-width joiner."""
+    return (
+        unicodedata.category(ch) in ("Mn", "Mc", "Me")
+        or ch in _ZERO_WIDTH_JOINERS
+    )
+
+
+# The combining marks of the Tamil block.  No code point below U+0300 is
+# one, so with the joiners these are all the marks a base character can
+# absorb in text that `_OUTSIDE_FAST_RANGE` does not match.
 _TAMIL_MARKS = frozenset(
-    chr(c) for c in range(0x0B80, 0x0C00)
-    if unicodedata.category(chr(c)) in ("Mn", "Mc", "Me")
+    chr(c) for c in range(0x0B80, 0x0C00) if _joins_previous(chr(c))
 )
 
 
@@ -197,10 +208,7 @@ def _segment_slow(text: str) -> GraphemeWord:
             while j < n and text[j] == "ௗ":
                 j += 1
         else:
-            while j < n and (
-                unicodedata.category(text[j]) in ("Mn", "Mc", "Me")
-                or text[j] in _ZERO_WIDTH_JOINERS
-            ):
+            while j < n and _joins_previous(text[j]):
                 j += 1
         clusters.append(text[i:j])
         i = j

@@ -25,20 +25,34 @@ final letter ends no pattern costs one dictionary miss.
 """
 
 import enum
-import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graphemes import (
     _DEPENDENT_SIGNS,
-    _ZERO_WIDTH_JOINERS,
     GraphemeWord,
     _data_lines,
+    _joins_previous,
     _packaged_text,
     _record,
     normalize,
     segment,
 )
+
+__all__ = [
+    "ALL_CLASSES",
+    "RuleConflictError",
+    "RuleError",
+    "RuleSet",
+    "SuffixClass",
+    "SuffixRule",
+    "apply_rule",
+    "builtin_rules",
+    "candidates",
+    "parse_rules",
+    "render_rules",
+    "validate_rules",
+]
 
 
 class SuffixClass(enum.Enum):
@@ -161,15 +175,10 @@ class RuleSet:
 
 
 def _merges(replacement: str) -> bool:
-    """Whether *replacement* can join the letter before it.
-
-    Segmentation attaches a combining mark (every dependent sign is one)
-    or a zero-width joiner to the preceding letter.
-    """
-    return bool(replacement) and (
-        unicodedata.category(replacement[0]) in ("Mn", "Mc", "Me")
-        or replacement[0] in _ZERO_WIDTH_JOINERS
-    )
+    """Whether *replacement* can join the letter before it: whether
+    segmentation attaches its first character to the preceding letter
+    (every dependent sign is a combining mark)."""
+    return bool(replacement) and _joins_previous(replacement[0])
 
 
 def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:

@@ -12,10 +12,9 @@ and stripping stops at a terminal class.  Substitution rules (plural
 instead of merely cutting.
 
 Both engines are one walk, ``_walk``, under the two class policies, and
-both leave unmatched words untouched, including non-Tamil input.  Light
-takes strip's steps until strip takes a class outside the previous rule's
-``next_classes``, so ``compare`` reads light's result off strip's walk
-and walks light again only for a word where strip does that.
+both leave unmatched words untouched, including non-Tamil input.
+``_both`` runs both engines on a word for ``compare``; its docstring
+says when one walk serves both.
 """
 
 from __future__ import annotations
@@ -31,6 +30,18 @@ from .rules import (
     _first_match,
     builtin_rules,
 )
+
+__all__ = [
+    "ENGINES",
+    "StemResult",
+    "StemStep",
+    "adjectival_to_verb",
+    "light_stem",
+    "stem_batch",
+    "strip_plural",
+    "strip_stem",
+    "strip_tense",
+]
 
 # The class sets the entry points allow, as masks (see rules._class_mask).
 _ALL = _class_mask(ALL_CLASSES)

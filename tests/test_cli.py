@@ -360,6 +360,49 @@ def test_closed_stdin_exits_66():
     )
 
 
+def _run_entry_closing(fd: int, argv, data: bytes):
+    """`run_entry` with file descriptor *fd* closed before exec."""
+    return subprocess.run(
+        [sys.executable, "-c", _ENTRY, *argv],
+        input=data,
+        preexec_fn=lambda: os.close(fd),
+        capture_output=True,
+        timeout=60,
+        env=_entry_env("utf-8"),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,data",
+    [(["--version"], b""), (["stem"], "மரங்கள்\n".encode())],
+    ids=["version", "stem"],
+)
+def test_closed_stdout_exits_141_quietly(argv, data):
+    proc = _run_entry_closing(1, argv, data)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EX_PIPE, b"", b"")
+
+
+_CONFLICTING_GOLD = (GOLD_TEXT + "பெண்கள்\tபெண்கள்\n").encode()
+
+
+@pytest.mark.parametrize(
+    "argv,data",
+    [
+        (["compare", "--format", "csv"], _CONFLICTING_GOLD),
+        (["stem"], b"ab\tc\n"),
+        (["stem", "--algo", "x"], b""),
+    ],
+    ids=["compare-warning", "stem-error", "usage-error"],
+)
+def test_closed_stderr_drops_messages_only(argv, data):
+    shown = run_entry(argv, data, "utf-8")
+    assert shown.stderr  # the message a closed stderr must drop
+    proc = _run_entry_closing(2, argv, data)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        shown.returncode, shown.stdout, b""
+    )
+
+
 @pytest.mark.parametrize("module", ["tamilstem", "tamilstem.cli"])
 def test_python_m_runs_the_cli(module):
     launch = ("-m", module)

@@ -1,6 +1,7 @@
-"""The package's import surface: what ``import tamilstem`` loads, the
-names of ``evaluation`` and ``paradigm`` that load on first access, and
-reading the bundled data from a zip."""
+"""The package's import surface: what ``import tamilstem`` loads, where
+its public names are declared, the names of ``evaluation`` and
+``paradigm`` that load on first access, that scoring needs only the
+standard library, and reading the bundled data from a zip."""
 
 import importlib
 import os
@@ -78,6 +79,17 @@ def test_lazy_names_are_those_of_their_home_modules():
     assert tamilstem.compare is tamilstem.evaluation.compare
 
 
+def test_all_is_declared_once_by_each_module():
+    eager = [tamilstem.graphemes, tamilstem.rules, tamilstem.stemmers]
+    for module in eager:
+        for name in module.__all__:
+            assert getattr(tamilstem, name) is vars(module)[name], name
+    declared = [name for module in eager for name in module.__all__]
+    declared += [*tamilstem._LAZY, "__version__"]
+    assert len(set(tamilstem.__all__)) == len(tamilstem.__all__)
+    assert sorted(tamilstem.__all__) == sorted(declared)
+
+
 def test_first_access_loads_and_binds_a_name():
     out = _fresh(
         "import tamilstem\n"
@@ -89,6 +101,16 @@ def test_first_access_loads_and_binds_a_name():
     )
     # evaluation imports paradigm for build_corpus.
     assert out == "['tamilstem.evaluation', 'tamilstem.paradigm']\n"
+
+
+def test_scoring_loads_only_the_standard_library():
+    out = _fresh(
+        "from tamilstem import bundled_gold, compare, render\n"
+        "render(compare(list(bundled_gold()), [200, 1080]), 'csv')\n"
+        "allowed = sys.stdlib_module_names | {'tamilstem', '__main__'}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] not in allowed))"
+    )
+    assert out == "[]\n"
 
 
 def test_star_import_binds_all_of_all():
