@@ -27,6 +27,12 @@ four such pairs there: U+0B92 U+0BD7, U+0BC6 U+0BBE, U+0BC6 U+0BD7 and
 U+0BC7 U+0BBE (ஔ, ொ, ௌ and ோ).  Text in the range without one of them
 is already NFC.  The tests pin those four pairs against the running
 Python's ``unicodedata`` and check ``normalize`` against plain NFC.
+
+``word`` makes both checks with one search of one regular expression,
+which finds a code point outside that range or one of the four pairs.
+Text in which it finds nothing is split by the letter expression at
+once; other text goes through ``normalize`` then ``segment``.  The tests
+check ``word`` against ``segment`` of plain NFC.
 """
 
 import os
@@ -74,9 +80,12 @@ def _char_class(chars) -> str:
 
 # Matches a code point outside the range the regular expression handles.
 _OUTSIDE_FAST_RANGE = re.compile(r"[^\x00-\u02ff\u0b80-\u0bff\u200c\u200d]")
-# The only code point pairs NFC joins in text `_OUTSIDE_FAST_RANGE` does
-# not match: they compose to ஔ, ொ, ௌ and ோ.
-_COMPOSING_PAIR = re.compile("\u0b92\u0bd7|\u0bc6[\u0bbe\u0bd7]|\u0bc7\u0bbe")
+# Matches what `_OUTSIDE_FAST_RANGE` does, or one of the only code point
+# pairs NFC joins in text it does not match: they compose to ஔ, ொ, ௌ
+# and ோ.  Text it finds nothing in is NFC and split by `_LETTER`.
+_NOT_FAST_NFC = re.compile(
+    _OUTSIDE_FAST_RANGE.pattern + "|\u0b92\u0bd7|\u0bc6[\u0bbe\u0bd7]|\u0bc7\u0bbe"
+)
 # One letter, as `_segment_slow` clusters it: a consonant with its
 # dependent signs, an independent vowel or aytham with any AU length
 # mark, or any other character with its combining marks and joiners.
@@ -93,15 +102,11 @@ def normalize(text: str) -> str:
     Idempotent.  Rejects strings carrying lone surrogates (the residue of
     a failed byte decode) rather than letting them propagate.
 
-    Text whose code points all lie below U+0300, in the Tamil block or
-    among the zero-width joiners holds no surrogate, and NFC changes it
-    only where it has one of the four pairs `_COMPOSING_PAIR` matches
-    (see the module docstring), so other such text is returned as it is.
+    Text in which `_NOT_FAST_NFC` finds nothing lies in the range the
+    module docstring names and has none of the four pairs NFC joins
+    there, so it holds no surrogate and is returned as it is.
     """
-    if (
-        _OUTSIDE_FAST_RANGE.search(text) is None
-        and _COMPOSING_PAIR.search(text) is None
-    ):
+    if _NOT_FAST_NFC.search(text) is None:
         return text
     try:
         text.encode("utf-8")
@@ -216,7 +221,13 @@ def _segment_slow(text: str) -> GraphemeWord:
 
 
 def word(text: str) -> GraphemeWord:
-    """Normalize then segment; the usual ingestion path for raw strings."""
+    """Normalize then segment; the usual ingestion path for raw strings.
+
+    Text in which `_NOT_FAST_NFC` finds nothing is split at once: it is
+    already NFC and in the range `_LETTER` handles.
+    """
+    if _NOT_FAST_NFC.search(text) is None:
+        return GraphemeWord(tuple(_LETTER.findall(text)), text)
     return segment(normalize(text))
 
 

@@ -36,7 +36,7 @@ from .graphemes import (
     _packaged_text,
     _record,
     normalize,
-    segment,
+    word,
 )
 
 __all__ = [
@@ -196,7 +196,7 @@ def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
         raise error(f"expected 5 tab-separated fields, got {len(fields)}")
     class_name, pattern_text, replacement_text, min_stem_text, next_text = fields
     klass = lookup(class_name, "suffix class")
-    pattern = segment(normalize(pattern_text))
+    pattern = word(pattern_text)
     if len(pattern) == 0:
         raise error("empty pattern")
     if pattern.text[0] in _DEPENDENT_SIGNS:
@@ -204,7 +204,7 @@ def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
             f"pattern {pattern.text!r} starts with a vowel sign or pulli, "
             "so it can only match malformed text"
         )
-    replacement = segment(normalize(replacement_text))
+    replacement = word(replacement_text)
     if len(replacement) >= len(pattern):
         raise error(
             f"replacement {replacement.text!r} is not shorter than pattern "
@@ -334,14 +334,14 @@ def _first_match(
     return None
 
 
-def _apply(word: GraphemeWord, rule: SuffixRule, merges: bool) -> GraphemeWord:
-    """*word* with *rule*'s pattern replaced; *merges* as in `_merges`."""
+def _apply(w: GraphemeWord, rule: SuffixRule, merges: bool) -> GraphemeWord:
+    """*w* with *rule*'s pattern replaced; *merges* as in `_merges`."""
     pattern, replacement = rule.pattern, rule.replacement
-    kept = word.text[: -len(pattern.text)]  # patterns are never empty
-    if merges:
-        return segment(kept + replacement.text)
+    kept = w.text[: -len(pattern.text)]  # patterns are never empty
+    if merges:  # the sign joins a kept letter and may compose with it
+        return word(kept + replacement.text)
     return GraphemeWord(
-        word.graphemes[: -len(pattern.graphemes)] + replacement.graphemes,
+        w.graphemes[: -len(pattern.graphemes)] + replacement.graphemes,
         kept + replacement.text,
     )
 
@@ -350,9 +350,9 @@ def apply_rule(word: GraphemeWord, rule: SuffixRule) -> GraphemeWord:
     """Strip the matched pattern and append the replacement.
 
     *rule* must match the end of *word*, as every rule ``candidates``
-    returns does.  The result is re-segmented only when the replacement
-    starts with a sign that joins the letter before it (a vowel sign,
-    pulli, combining mark or zero-width joiner), so the letter-sequence
-    invariant holds for such user rules too.
+    returns does.  The result is normalized and re-segmented only when
+    the replacement starts with a sign that joins the letter before it (a
+    vowel sign, pulli, combining mark or zero-width joiner), so the
+    NFC and letter-sequence invariants hold for such user rules too.
     """
     return _apply(word, rule, _merges(rule.replacement.text))

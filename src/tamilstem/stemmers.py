@@ -82,23 +82,26 @@ def _walk(
     Any class may match first.  With *chain*, each applied rule's
     ``next_classes`` become the classes allowed next, so a terminal
     rule ends the walk; without it every step may use any class.
-    Every rule shortens the word, so the walk always terminates.
+    Every rule shortens the word, so the walk always terminates.  A word
+    no rule matches costs one lookup and returns at once, with an empty
+    trace and the word itself as its stem.
     """
     if rules is None:
         rules = builtin_rules()
     start = w = _as_word(text)
+    entry = _first_match(rules, w.graphemes, _ALL)
+    if entry is None:
+        return StemResult(start, start, ())
     trace = []
     allowed = _ALL
-    while allowed:
-        entry = _first_match(rules, w.graphemes, allowed)
-        if entry is None:
-            break
+    while entry is not None:
         rule, _bit, next_mask, _shortest, merges = entry
         after = _apply(w, rule, merges)
         trace.append(StemStep(rule, w, after))
         w = after
         if chain:
             allowed = next_mask
+        entry = _first_match(rules, w.graphemes, allowed) if allowed else None
     return StemResult(start, w, tuple(trace))
 
 

@@ -115,14 +115,18 @@ def _normalize_reference(text):
 
 
 def _assert_normalizes_like_the_reference(text):
+    """`normalize`, and `word` with its one-search path, agree with the
+    reference on *text*."""
     try:
         expected = _normalize_reference(text)
     except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            normalize(text)
-        assert str(info.value) == str(exc)
+        for ingest in (normalize, word):
+            with pytest.raises(ValueError) as info:
+                ingest(text)
+            assert str(info.value) == str(exc)
     else:
         assert normalize(text) == expected, ascii(text)
+        assert word(text) == segment(expected), ascii(text)
 
 
 # The code points `segment`'s regular expression and `normalize`'s NFC

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import tamilstem
 from tamilstem.cli import EX_OK, EX_RULE_CONFLICT, main
 from tamilstem.evaluation import GoldError, load_gold
-from tamilstem.graphemes import ends_with, segment, word
+from tamilstem.graphemes import ends_with, normalize, segment, word
 from tamilstem.paradigm import load_roots
 from tamilstem.rules import (
     ALL_CLASSES,
@@ -204,7 +204,7 @@ def _oracle_candidates(rs, w, allowed):
 
 def _oracle_apply(w, rule):
     kept = "".join(w.graphemes[: len(w) - len(rule.pattern)])
-    return segment(kept + rule.replacement.text)
+    return segment(normalize(kept + rule.replacement.text))
 
 
 def _oracle_walk(rs, w, allowed, chain, max_steps=None):
@@ -282,6 +282,15 @@ def test_apply_rule_resegments_result():
     rs = parse_rules("Case\tடியை\tடி\t1\t\n")
     out = apply_rule(word("படியை"), rs.rules[0])
     assert out.graphemes == ("ப", "டி")
+
+
+def test_merging_replacement_is_normalized():
+    # ெ before the pattern and the replacement ா compose to ொ: the stem
+    # is NFC, as every GraphemeWord's text is.
+    rs = parse_rules("Case\tலம்\tா\t1\t\n")
+    assert apply_rule(word("கெலம்"), rs.rules[0]) == word("கொ")
+    for engine in (light_stem, strip_stem):
+        assert engine("கெலம்", rs).stem == word("கொ")
 
 
 def test_rule_application_strictly_shortens():
@@ -428,7 +437,8 @@ def test_only_a_newline_ends_a_line(tmp_path, char, place):
 # letter starts with a base character, as a pattern must; replacements
 # may start with a vowel sign, pulli, AU length mark, combining mark or
 # zero-width joiner, which join the letter before them.
-_LETTERS = ("க", "கு", "ம்", "ள்", "ஐ", "டி", "a")
+# கெ composes with a replacement ா or ௗ into one letter, கொ or கௌ.
+_LETTERS = ("க", "கு", "கெ", "ம்", "ள்", "ஐ", "டி", "a")
 _REPLACEMENTS = ("", "", "ம்", "க", "ி", "்", "ா", "ௗ", "\u0301", "\u200d")
 _CLASSES = ("Plural", "Case", "Tense")
 _index_rule = st.tuples(

@@ -24,6 +24,7 @@ from tamilstem.stemmers import (
     ENGINES,
     StemResult,
     StemStep,
+    _both,
     adjectival_to_verb,
     light_stem,
     stem_batch,
@@ -162,6 +163,19 @@ def test_non_tamil_passes_through():
         assert strip_stem(text).stem.text == text
         assert light_stem(text).stem.text == text
         assert strip_stem(text).trace == ()
+
+
+@pytest.mark.parametrize("text", ["hello", "படி", "மரம்x", ""])
+def test_word_no_rule_matches_is_its_own_stem(text):
+    rules = builtin_rules()
+    for w in (text, word(text)):
+        for engine in (strip_stem, light_stem):
+            result = engine(w, rules)
+            assert result.trace == ()
+            assert result.stem is result.word
+        strip, light = _both(rules, w)
+        assert strip is light
+        assert strip.stem is strip.word and strip.trace == ()
 
 
 def test_custom_rules_override_builtins():
