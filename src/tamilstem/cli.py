@@ -14,6 +14,10 @@ numbers where known); 66 unreadable input file or closed stdin; 141 (from
 the console script) output pipe closed by its reader, or stdout closed.
 With stderr closed, the console script drops its messages and keeps its
 exit code and stdout.
+
+`main` passes argparse's help, version and usage text on to its own
+streams; ``sys.stdout`` and ``sys.stderr`` are redirected, process-wide,
+only while it parses, so `main` is not for concurrent threads.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import io
 import os
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 from . import __version__
@@ -49,21 +54,12 @@ EX_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose pipe closed
 _STEM_MEMO_SIZE = 8192
 
 
-class _UsageError(Exception):
-    """Raised instead of argparse's default sys.exit on bad flags."""
-
-
 class _CliError(Exception):
     """A reportable failure with a specific exit code."""
 
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-class _Printed(Exception):
-    """Raised instead of printing ``--help`` or ``--version`` text and
-    exiting, so `main` writes the text to the stdout of its own call."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,14 +73,6 @@ class _Parser(argparse.ArgumentParser):
             add, self.deferred_arguments = self.deferred_arguments, None
             add(self)
         return super().parse_known_args(args, namespace)
-
-    def error(self, message):
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
-
-    def _print_message(self, message, file=None):
-        # The one call through which argparse's help and version actions
-        # print; usage errors never get here (see `error`).
-        raise _Printed(message)
 
 
 class _ClosedStdin:
@@ -373,21 +361,25 @@ _COMMANDS = {
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     """Run the CLI; returns the process exit code.
 
-    ``--help`` and ``--version`` write to *stdout* and return 0.  `main`
-    may be called any number of times in one process; it builds its
-    parser on the first call and reuses it.
+    ``--help`` and ``--version`` write to *stdout* and return 0; a usage
+    error writes to *stderr* and returns 64.  While argparse parses, and
+    only then, ``sys.stdout`` and ``sys.stderr`` are redirected: like
+    ``warnings.catch_warnings`` in `_reporting_warnings`, that is
+    process-wide, so `main` is not for concurrent threads.  It may be
+    called any number of times in one process, and reuses its parser.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    # argparse ignores a failed write; one to *stdout* or *stderr* raises.
+    printed = io.StringIO()
     try:
-        args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=stderr)
-        return EX_USAGE
-    except _Printed as printed:
-        stdout.write(str(printed))
-        return EX_OK
+        with redirect_stdout(printed), redirect_stderr(printed):
+            args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help, version or usage
+        ok = exc.code == 0
+        (stdout if ok else stderr).write(printed.getvalue())
+        return EX_OK if ok else EX_USAGE
     try:
         return _COMMANDS[args.command](args, stdin, stdout, stderr)
     except UnicodeDecodeError as exc:  # from a stdin that decodes strictly

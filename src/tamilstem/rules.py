@@ -35,7 +35,6 @@ from .graphemes import (
     _joins_previous,
     _packaged_text,
     _record,
-    normalize,
     word,
 )
 
@@ -119,15 +118,14 @@ class SuffixRule:
 
 
 # A suffix-index entry: (rule, its class bit, the mask of its
-# next_classes, the shortest word it applies to, which is
-# min_stem + len(pattern) - len(replacement), and whether its
-# replacement can merge with the letter before it).
+# next_classes, the shortest word it applies to, and whether its
+# replacement merges with the letter before it, so keeps one fewer).
 _Entry = tuple[SuffixRule, int, int, int, bool]
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Immutable, validated rule collection."""
+    """Immutable rule collection, checked and indexed when built."""
 
     rules: tuple[SuffixRule, ...]
     # The suffix index, compiled from *rules*: pattern letters -> entries
@@ -143,15 +141,18 @@ class RuleSet:
     def __post_init__(self) -> None:
         index: dict[tuple[str, ...], list[_Entry]] = {}
         lengths: dict[str, set[int]] = {}
-        for rule in self.rules:
+        for position, rule in enumerate(self.rules):
             pattern = rule.pattern.graphemes
+            if defect := _defect(rule.pattern, rule.replacement, rule.min_stem):
+                raise RuleError(f"rule {position}: {defect}")
+            merges = _merges(rule.replacement.text)
             index.setdefault(pattern, []).append(
                 (
                     rule,
                     _BIT[rule.klass],
                     _class_mask(rule.next_classes),
-                    rule.min_stem + len(pattern) - len(rule.replacement),
-                    _merges(rule.replacement.text),
+                    rule.min_stem + len(pattern) - len(rule.replacement) + merges,
+                    merges,
                 )
             )
             lengths.setdefault(pattern[-1], set()).add(len(pattern))
@@ -166,19 +167,34 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def find(self, klass: SuffixClass, pattern_text: str) -> SuffixRule | None:
-        target = normalize(pattern_text)
-        for rule in self.rules:
-            if rule.klass is klass and rule.pattern.text == target:
-                return rule
-        return None
-
 
 def _merges(replacement: str) -> bool:
     """Whether *replacement* can join the letter before it: whether
     segmentation attaches its first character to the preceding letter
     (every dependent sign is a combining mark)."""
     return bool(replacement) and _joins_previous(replacement[0])
+
+
+def _defect(pattern: GraphemeWord, replacement=None, min_stem=1) -> str | None:
+    """The first defect, in field order, of a rule with these fields, or
+    None.  Without a *replacement*, only the pattern is checked."""
+    if len(pattern) == 0:
+        return "empty pattern"
+    if pattern.text[0] in _DEPENDENT_SIGNS:
+        return (
+            f"pattern {pattern.text!r} starts with a vowel sign or pulli, "
+            "so it can only match malformed text"
+        )
+    if replacement is not None and len(replacement) >= len(pattern):
+        return (
+            f"replacement {replacement.text!r} is not shorter than pattern "
+            f"{pattern.text!r}; rule would not terminate"
+        )
+    if not isinstance(min_stem, int):
+        return f"min_stem {min_stem!r} is not an integer"
+    if min_stem < 1:
+        return "min_stem must be >= 1"
+    return None
 
 
 def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
@@ -196,31 +212,21 @@ def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
         raise error(f"expected 5 tab-separated fields, got {len(fields)}")
     class_name, pattern_text, replacement_text, min_stem_text, next_text = fields
     klass = lookup(class_name, "suffix class")
-    pattern = word(pattern_text)
-    if len(pattern) == 0:
-        raise error("empty pattern")
-    if pattern.text[0] in _DEPENDENT_SIGNS:
-        raise error(
-            f"pattern {pattern.text!r} starts with a vowel sign or pulli, "
-            "so it can only match malformed text"
-        )
-    replacement = word(replacement_text)
-    if len(replacement) >= len(pattern):
-        raise error(
-            f"replacement {replacement.text!r} is not shorter than pattern "
-            f"{pattern.text!r}; rule would not terminate"
-        )
     try:
         min_stem = int(min_stem_text)
     except ValueError:
-        raise error(f"min_stem {min_stem_text!r} is not an integer") from None
-    if min_stem < 1:
-        raise error("min_stem must be >= 1")
+        min_stem = min_stem_text  # which `_defect` reports
+    pattern = word(pattern_text)
+    # A bad pattern is reported before the replacement is read, which
+    # raises ValueError on a lone surrogate.
+    defect = _defect(pattern) or _defect(
+        pattern, replacement := word(replacement_text), min_stem
+    )
+    if defect:
+        raise error(defect)
     names = next_text.split(",") if next_text.strip() else []
     next_classes = frozenset(lookup(name, "next class") for name in names)
-    return SuffixRule(
-        klass, pattern, replacement, min_stem, next_classes, order
-    )
+    return SuffixRule(klass, pattern, replacement, min_stem, next_classes, order)
 
 
 def _scan(text: str) -> tuple[list[SuffixRule], list[RuleError]]:

@@ -29,6 +29,13 @@ from tamilstem.stemmers import ENGINES
 GOLD_TEXT = "பெண்கள்\tபெண்\nமரங்கள்\tமரம்\nபடித்தேன்\tபடி\n"
 
 
+class _BrokenPipe(io.StringIO):
+    """A stream whose reader has left: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
 def run_cli(argv, stdin_text=""):
     stdin = io.StringIO(stdin_text)
     stdout = io.StringIO()
@@ -225,9 +232,15 @@ def test_empty_gold_exits_65():
     ],
 )
 def test_bad_flags_exit_64(argv):
-    code, _, err = run_cli(argv, "")
+    streams = sys.stdout, sys.stderr
+    code, out, err = run_cli(argv, "")
     assert code == EX_USAGE
     assert "usage" in err.lower()
+    assert (out, err[:16]) == ("", "usage: tamilstem")
+    assert sys.stdout is streams[0] and sys.stderr is streams[1]
+    # The failed write reaches `entry`, which exits 141 for it.
+    with pytest.raises(BrokenPipeError):
+        main(argv, io.StringIO(), io.StringIO(), _BrokenPipe())
 
 
 def test_output_is_deterministic():
@@ -615,9 +628,11 @@ def test_conflict_warning_goes_to_the_given_stderr_on_every_run(argv, capsys):
 
 
 def test_version_goes_to_the_given_stdout(capsys):
+    streams = sys.stdout, sys.stderr
     out = f"tamilstem {tamilstem.__version__}\n"
     assert run_cli(["--version"]) == (EX_OK, out, "")
     assert capsys.readouterr() == ("", "")
+    assert sys.stdout is streams[0] and sys.stderr is streams[1]
 
 
 @pytest.mark.parametrize(
@@ -629,10 +644,14 @@ def test_version_goes_to_the_given_stdout(capsys):
     ids=["help", "stem-help"],
 )
 def test_help_goes_to_the_given_stdout(argv, start, capsys):
+    streams = sys.stdout, sys.stderr
     code, out, err = run_cli(argv)
     assert (code, err) == (EX_OK, "")
     assert out.startswith(start)
     assert capsys.readouterr() == ("", "")
+    assert sys.stdout is streams[0] and sys.stderr is streams[1]
+    with pytest.raises(BrokenPipeError):
+        main(argv, io.StringIO(), _BrokenPipe(), io.StringIO())
 
 
 def test_deferred_arguments_take_their_choices_from_their_modules():

@@ -20,6 +20,8 @@ from tamilstem.rules import (
     RuleError,
     RuleSet,
     SuffixClass,
+    SuffixRule,
+    _merges,
     apply_rule,
     builtin_rules,
     candidates,
@@ -83,6 +85,11 @@ def test_parse_replacement_and_terminal():
         ("Plural\tகள்\t\tx\t", "not an integer"),
         ("Plural\tகள்\t\t0\t", ">= 1"),
         ("Plural\tகள்\t\t2\tNope", "unknown next class"),
+        # A line with several defects reports the first in field order.
+        ("Plural\t\tகள்\tx\tNope", "empty pattern"),
+        ("Plural\t\t\udcff\t1\t", "empty pattern"),
+        ("Plural\tகள்\tகள்கள்\t0\tNope", "not shorter"),
+        ("Plural\tகள்\t\tx\tNope", "not an integer"),
     ],
 )
 def test_parse_errors(line, fragment):
@@ -136,16 +143,21 @@ def test_render_empty():
     assert render_rules(parse_rules("")) == ""
 
 
+def _rules_by_key(rs):
+    return {(rule.klass, rule.pattern.text): rule for rule in rs.rules}
+
+
 def test_builtin_contents():
     rs = builtin_rules()
     assert len(rs) >= 80
-    assert rs.find(SuffixClass.CASE, "உக்கு") is not None
-    neg = rs.find(SuffixClass.NEGATIVE_COMPOUND, "க்கமாட்டேன்")
+    find = _rules_by_key(rs).get
+    assert find((SuffixClass.CASE, "உக்கு")) is not None
+    neg = find((SuffixClass.NEGATIVE_COMPOUND, "க்கமாட்டேன்"))
     assert neg is not None
-    plural = rs.find(SuffixClass.PLURAL, "ங்கள்")
+    plural = find((SuffixClass.PLURAL, "ங்கள்"))
     assert plural is not None
     assert plural.replacement.text == "ம்"
-    participle = rs.find(SuffixClass.ADJECTIVAL_PARTICIPLE, "டிய")
+    participle = find((SuffixClass.ADJECTIVAL_PARTICIPLE, "டிய"))
     assert participle is not None
     assert participle.replacement.text == "டு"
 
@@ -192,13 +204,15 @@ def test_candidates_empty_word():
 
 
 def _oracle_candidates(rs, w, allowed):
-    """Every applicable rule by brute force, in match order."""
+    """Every applicable rule by brute force, in match order.  A merging
+    replacement counts one letter fewer: its first joins a kept letter."""
     return [
         r
         for r in sorted(rs.rules, key=lambda r: (-len(r.pattern), r.order))
         if r.klass in allowed
         and ends_with(w, r.pattern)
-        and len(w) - len(r.pattern) + len(r.replacement) >= r.min_stem
+        and len(w) - len(r.pattern) + len(r.replacement)
+        - _merges(r.replacement.text) >= r.min_stem
     ]
 
 
@@ -250,6 +264,33 @@ def test_a_directly_built_or_replaced_ruleset_indexes_its_own_rules():
         )
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "Case\t\t\t1\t",
+        "Case\tாக\t\t1\t",
+        "Case\tகள்\tகள்\t1\t",
+        "Case\tக\tகக\t1\tCase",
+        "Case\tகள்\t\t0\t",
+    ],
+    ids=["empty", "sign", "same-length", "longer", "min_stem-0"],
+)
+def test_a_directly_built_ruleset_refuses_what_parse_rules_does(line):
+    klass, pattern, replacement, min_stem, _ = line.split("\t")
+    rule = SuffixRule(
+        SuffixClass(klass), word(pattern), word(replacement), int(min_stem),
+        frozenset({SuffixClass.CASE}), 0,
+    )
+    with pytest.raises(RuleError) as parsed:
+        parse_rules(line + "\n")
+    defect = str(parsed.value).removeprefix("line 1: ")
+    with pytest.raises(RuleError) as built:
+        RuleSet((rule,))
+    assert str(built.value) == f"rule 0: {defect}"
+    with pytest.raises(RuleError):
+        dataclasses.replace(builtin_rules(), rules=(rule,))
+
+
 def test_repr_is_the_same_under_every_hash_seed():
     code = (
         "import tamilstem as ts; print(repr(ts.builtin_rules())); "
@@ -271,10 +312,10 @@ def test_repr_is_the_same_under_every_hash_seed():
 
 
 def test_apply_rule_strips_and_replaces():
-    rs = builtin_rules()
-    plural = rs.find(SuffixClass.PLURAL, "ங்கள்")
+    find = _rules_by_key(builtin_rules()).get
+    plural = find((SuffixClass.PLURAL, "ங்கள்"))
     assert apply_rule(word("மரங்கள்"), plural).text == "மரம்"
-    bare = rs.find(SuffixClass.PLURAL, "கள்")
+    bare = find((SuffixClass.PLURAL, "கள்"))
     assert apply_rule(word("பெண்கள்"), bare).text == "பெண்"
 
 
@@ -291,6 +332,15 @@ def test_merging_replacement_is_normalized():
     assert apply_rule(word("கெலம்"), rs.rules[0]) == word("கொ")
     for engine in (light_stem, strip_stem):
         assert engine("கெலம்", rs).stem == word("கொ")
+
+
+def test_a_merging_replacement_keeps_min_stem_letters():
+    # கெ and ா merge into the one letter கொ, so the rule would leave one
+    # letter of கெலம் where two are asked for.
+    rs = parse_rules("Case\tலம்\tா\t2\t\n")
+    for engine in (light_stem, strip_stem):
+        assert engine("கெலம்", rs).stem.text == "கெலம்"
+        assert engine("அகெலம்", rs).stem.text == "அகொ"
 
 
 def test_rule_application_strictly_shortens():
@@ -485,6 +535,8 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
                 assert apply_rule(w, rule) == _oracle_apply(w, rule)
         for engine, chain in ((light_stem, True), (strip_stem, False)):
             result = engine(w, rs)
+            for step in result.trace:
+                assert len(step.after) >= step.rule.min_stem
             steps = [(s.rule, s.before, s.after) for s in result.trace]
             assert (result.stem, steps) == _oracle_walk(
                 rs, w, ALL_CLASSES, chain
