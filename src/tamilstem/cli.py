@@ -414,8 +414,9 @@ def entry() -> None:
     stdin, stdout and stderr are UTF-8 whatever the locale, each keeping
     its error handler (``reconfigure`` would reset it to strict).  A
     closed output pipe, or a closed stdout, exits 141 with nothing on
-    stderr.  With stderr closed, messages are dropped and the exit code
-    and stdout are those of a run with it open.
+    stderr, and a stderr pipe whose reader has left exits 141 too.  With
+    stderr closed, messages are dropped and the exit code and stdout are
+    those of a run with it open.
     """
     if not _writable(sys.stdout):
         sys.exit(EX_PIPE)  # as if the reader had left before any write
@@ -428,10 +429,13 @@ def entry() -> None:
         code = main(stdin=stdin, stderr=stderr)
         sys.stdout.flush()  # so a closed pipe fails here, not at exit
     except BrokenPipeError:
-        # The interpreter flushes stdout again at exit; with fd 1 on
-        # /dev/null that flush cannot fail too.
+        # The interpreter flushes stdout and stderr again at exit, and
+        # the bytes of a failed write are still buffered; with both
+        # descriptors on /dev/null that flush cannot fail too.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                os.dup2(devnull, stream.fileno())
         os.close(devnull)
         code = EX_PIPE
     sys.exit(code)

@@ -12,27 +12,19 @@ Text in other scripts degrades gracefully: a base character absorbs any
 following combining marks, so ASCII romanizations segment one letter per
 character and the engine works on them unchanged.
 
-``segment`` splits text with one compiled regular expression when every
-code point is below U+0300, in the Tamil block (U+0B80..U+0BFF), or a
-zero-width joiner or non-joiner: in that range the combining marks are
-known at import.  Any other text goes through ``_segment_slow``, the
-per-code-point loop that asks ``unicodedata`` about each character; the
-tests check the regular expression against it.
-
-``normalize`` skips NFC for most text in that same range.  There every
-code point is NFC-stable on its own and only the pulli (U+0BCD) has a
-non-zero combining class, so NFC reorders nothing, and a code point of
-class 0 can join only the one right before it.  ``unicodedata`` joins
-four such pairs there: U+0B92 U+0BD7, U+0BC6 U+0BBE, U+0BC6 U+0BD7 and
-U+0BC7 U+0BBE (ஔ, ொ, ௌ and ோ).  Text in the range without one of them
-is already NFC.  The tests pin those four pairs against the running
-Python's ``unicodedata`` and check ``normalize`` against plain NFC.
-
-``word`` makes both checks with one search of one regular expression,
-which finds a code point outside that range or one of the four pairs.
-Text in which it finds nothing is split by the letter expression at
-once; other text goes through ``normalize`` then ``segment``.  The tests
-check ``word`` against ``segment`` of plain NFC.
+``word`` is the one fast path.  One search of ``_NOT_FAST_NFC`` finds
+a code point outside the range below U+0300, the Tamil block
+(U+0B80..U+0BFF) and the zero-width joiners, or one of the four code
+point pairs NFC joins inside it: U+0B92 U+0BD7, U+0BC6 U+0BBE, U+0BC6
+U+0BD7 and U+0BC7 U+0BBE (ஔ, ொ, ௌ and ோ).  In that range every code
+point is NFC-stable on its own, only the pulli (U+0BCD) has a non-zero
+combining class, and a code point of class 0 can join only the one
+right before it, so text in which the search finds nothing is already
+NFC; its combining marks are known at import, so ``_LETTER`` splits it
+with one regular expression.  Other text goes through
+``segment(normalize(text))``, the plain definitions, which the tests
+check ``word`` against; they also pin the four pairs against the
+running Python's ``unicodedata``.
 """
 
 import os
@@ -68,7 +60,7 @@ def _joins_previous(ch: str) -> bool:
 
 # The combining marks of the Tamil block.  No code point below U+0300 is
 # one, so with the joiners these are all the marks a base character can
-# absorb in text that `_OUTSIDE_FAST_RANGE` does not match.
+# absorb in text that `_NOT_FAST_NFC` does not match.
 _TAMIL_MARKS = frozenset(
     chr(c) for c in range(0x0B80, 0x0C00) if _joins_previous(chr(c))
 )
@@ -78,15 +70,14 @@ def _char_class(chars) -> str:
     return "[" + re.escape("".join(sorted(chars))) + "]"
 
 
-# Matches a code point outside the range the regular expression handles.
-_OUTSIDE_FAST_RANGE = re.compile(r"[^\x00-\u02ff\u0b80-\u0bff\u200c\u200d]")
-# Matches what `_OUTSIDE_FAST_RANGE` does, or one of the only code point
-# pairs NFC joins in text it does not match: they compose to ஔ, ொ, ௌ
-# and ோ.  Text it finds nothing in is NFC and split by `_LETTER`.
+# Matches a code point outside the range `_LETTER` handles, or one of
+# the only code point pairs NFC joins inside it: they compose to ஔ, ொ,
+# ௌ and ோ.  Text it finds nothing in is NFC and split by `_LETTER`.
 _NOT_FAST_NFC = re.compile(
-    _OUTSIDE_FAST_RANGE.pattern + "|\u0b92\u0bd7|\u0bc6[\u0bbe\u0bd7]|\u0bc7\u0bbe"
+    r"[^\x00-\u02ff\u0b80-\u0bff\u200c\u200d]"
+    "|\u0b92\u0bd7|\u0bc6[\u0bbe\u0bd7]|\u0bc7\u0bbe"
 )
-# One letter, as `_segment_slow` clusters it: a consonant with its
+# One letter, as `segment` clusters it: a consonant with its
 # dependent signs, an independent vowel or aytham with any AU length
 # mark, or any other character with its combining marks and joiners.
 _LETTER = re.compile(
@@ -102,12 +93,9 @@ def normalize(text: str) -> str:
     Idempotent.  Rejects strings carrying lone surrogates (the residue of
     a failed byte decode) rather than letting them propagate.
 
-    Text in which `_NOT_FAST_NFC` finds nothing lies in the range the
-    module docstring names and has none of the four pairs NFC joins
-    there, so it holds no surrogate and is returned as it is.
+    The plain definition, with no shortcut: `word` is the fast way to
+    ingest raw text.
     """
-    if _NOT_FAST_NFC.search(text) is None:
-        return text
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:  # UTF-8 encodes all but surrogates
@@ -184,20 +172,11 @@ def segment(text: str) -> GraphemeWord:
     joiners, which is enough for romanized fixtures and incidental
     non-Tamil input.
 
-    Text whose code points all lie below U+0300, in the Tamil block or
-    among the zero-width joiners is split by one regular expression;
-    other text goes through `_segment_slow`, which gives the same letters
-    for every input.
+    It walks one code point at a time, asking ``unicodedata`` about each
+    possible mark: the plain definition, which `word`'s regular
+    expression is tested against.  `word` is the fast way to ingest raw
+    text.
     """
-    if _OUTSIDE_FAST_RANGE.search(text) is None:
-        return GraphemeWord(tuple(_LETTER.findall(text)), text)
-    return _segment_slow(text)
-
-
-def _segment_slow(text: str) -> GraphemeWord:
-    """`segment` one code point at a time, asking ``unicodedata`` about
-    each possible mark: the reference the regular expression is tested
-    against."""
     clusters: list[str] = []
     i = 0
     n = len(text)
@@ -224,7 +203,9 @@ def word(text: str) -> GraphemeWord:
     """Normalize then segment; the usual ingestion path for raw strings.
 
     Text in which `_NOT_FAST_NFC` finds nothing is split at once: it is
-    already NFC and in the range `_LETTER` handles.
+    already NFC and in the range `_LETTER` handles.  Other text goes
+    through `segment` of `normalize`, the definitions it is tested
+    against.
     """
     if _NOT_FAST_NFC.search(text) is None:
         return GraphemeWord(tuple(_LETTER.findall(text)), text)

@@ -267,14 +267,21 @@ def test_console_script_runs():
 _ENTRY = "from tamilstem.cli import entry; entry()"
 
 
-def _entry_env(io_encoding: str) -> dict:
+def _entry_env(io_encoding: str, buffered: bool = True) -> dict:
+    """The caller's environment with this checkout's package, the stdio
+    encoding and the stdio buffering set, so no test inherits them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tamilstem.__file__))
     env["PYTHONIOENCODING"] = io_encoding
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return env
 
 
-def run_entry(argv, data: bytes, io_encoding: str, launch=("-c", _ENTRY)):
+def run_entry(
+    argv, data: bytes, io_encoding: str, launch=("-c", _ENTRY), buffered=True
+):
     """Run the console entry point in a fresh interpreter on raw bytes;
     *launch* names the code to run as ``python`` options."""
     return subprocess.run(
@@ -282,7 +289,7 @@ def run_entry(argv, data: bytes, io_encoding: str, launch=("-c", _ENTRY)):
         input=data,
         capture_output=True,
         timeout=60,
-        env=_entry_env(io_encoding),
+        env=_entry_env(io_encoding, buffered),
     )
 
 
@@ -331,32 +338,55 @@ def test_stdio_is_utf8_whatever_the_locale(io_encoding):
     )
 
 
+_CONFLICTING_GOLD = (GOLD_TEXT + "பெண்கள்\tபெண்கள்\n").encode()
+
+
 @pytest.mark.parametrize(
-    "argv,data",
+    "argv,data,fd",
     [
         # More output than a pipe holds, so writes go on after the
         # reader has gone.
-        (["stem"], "மரங்கள்\n".encode() * 10_000),
-        (["generate", "--paradigm", "verb"], "படி\n".encode() * 2_000),
+        (["stem"], "மரங்கள்\n".encode() * 10_000, 1),
+        (["generate", "--paradigm", "verb"], "படி\n".encode() * 2_000, 1),
+        # A message to a stderr whose reader left before it was written.
+        (["stem", "--algo", "x"], b"", 2),
+        (["stem", "--rules", "/nonexistent"], b"", 2),
+        (["eval"], b"bad\n", 2),
+        (["compare", "--format", "csv"], _CONFLICTING_GOLD, 2),
+        (["stem"], b"a\tb\n", 2),
     ],
-    ids=["stem", "generate"],
+    ids=[
+        "stem",
+        "generate",
+        "stderr-usage-error",
+        "stderr-missing-rules",
+        "stderr-eval-error",
+        "stderr-compare-warning",
+        "stderr-stem-error",
+    ],
 )
-def test_closed_output_pipe_exits_141_quietly(argv, data, tmp_path):
+def test_closed_output_pipe_exits_141_quietly(argv, data, fd, tmp_path):
     source = tmp_path / "input"
     source.write_bytes(data)
-    with open(source, "rb") as stdin:
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _ENTRY, *argv],
-            stdin=stdin,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=_entry_env("utf-8"),
-        )
-    with proc.stderr:
-        assert proc.stdout.readline()
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == EX_PIPE
-        assert proc.stderr.read() == b""
+    for buffered in (True, False):
+        read, write = os.pipe()
+        if fd == 2:
+            os.close(read)  # the reader leaves before anything is written
+        with open(source, "rb") as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _ENTRY, *argv],
+                stdin=stdin,
+                stdout=write if fd == 1 else subprocess.PIPE,
+                stderr=write if fd == 2 else subprocess.PIPE,
+                env=_entry_env("utf-8", buffered),
+            )
+        os.close(write)
+        if fd == 1:
+            with open(read, "rb") as reader:
+                assert reader.readline()
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == EX_PIPE, buffered
+        assert (err if fd == 1 else out) == b"", buffered
 
 
 def test_closed_stdin_exits_66():
@@ -373,7 +403,7 @@ def test_closed_stdin_exits_66():
     )
 
 
-def _run_entry_closing(fd: int, argv, data: bytes):
+def _run_entry_closing(fd: int, argv, data: bytes, buffered: bool):
     """`run_entry` with file descriptor *fd* closed before exec."""
     return subprocess.run(
         [sys.executable, "-c", _ENTRY, *argv],
@@ -381,7 +411,7 @@ def _run_entry_closing(fd: int, argv, data: bytes):
         preexec_fn=lambda: os.close(fd),
         capture_output=True,
         timeout=60,
-        env=_entry_env("utf-8"),
+        env=_entry_env("utf-8", buffered),
     )
 
 
@@ -391,11 +421,11 @@ def _run_entry_closing(fd: int, argv, data: bytes):
     ids=["version", "stem"],
 )
 def test_closed_stdout_exits_141_quietly(argv, data):
-    proc = _run_entry_closing(1, argv, data)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (EX_PIPE, b"", b"")
-
-
-_CONFLICTING_GOLD = (GOLD_TEXT + "பெண்கள்\tபெண்கள்\n").encode()
+    for buffered in (True, False):
+        proc = _run_entry_closing(1, argv, data, buffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EX_PIPE, b"", b""
+        ), buffered
 
 
 @pytest.mark.parametrize(
@@ -408,12 +438,13 @@ _CONFLICTING_GOLD = (GOLD_TEXT + "பெண்கள்\tபெண்கள்\n
     ids=["compare-warning", "stem-error", "usage-error"],
 )
 def test_closed_stderr_drops_messages_only(argv, data):
-    shown = run_entry(argv, data, "utf-8")
-    assert shown.stderr  # the message a closed stderr must drop
-    proc = _run_entry_closing(2, argv, data)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        shown.returncode, shown.stdout, b""
-    )
+    for buffered in (True, False):
+        shown = run_entry(argv, data, "utf-8", buffered=buffered)
+        assert shown.stderr  # the message a closed stderr must drop
+        proc = _run_entry_closing(2, argv, data, buffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            shown.returncode, shown.stdout, b""
+        ), buffered
 
 
 @pytest.mark.parametrize("module", ["tamilstem", "tamilstem.cli"])

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from tamilstem.graphemes import (
     GraphemeWord,
-    _segment_slow,
     ends_with,
     is_tamil,
     normalize,
@@ -104,7 +103,8 @@ def test_normalize_names_the_first_surrogate_by_code_point(text):
 
 
 def _normalize_reference(text):
-    """`normalize` without its shortcut: the surrogate check, then NFC."""
+    """The surrogate check, then NFC: `normalize` written out apart from
+    it, so a change to it shows."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -129,15 +129,14 @@ def _assert_normalizes_like_the_reference(text):
         assert word(text) == segment(expected), ascii(text)
 
 
-# The code points `segment`'s regular expression and `normalize`'s NFC
-# shortcut handle.
+# The code points `word`'s fast path handles.
 _FAST_RANGE = tuple(
     map(chr, itertools.chain(range(0x0300), range(0x0B80, 0x0C00), (0x200C, 0x200D)))
 )
 
 
 def test_unicodedata_joins_only_four_pairs_in_the_fast_range():
-    # What `normalize` relies on to skip NFC.  A Unicode version that
+    # What `word` relies on to skip NFC.  A Unicode version that
     # breaks it fails here, not in a stem.
     version = unicodedata.unidata_version
     assert all(unicodedata.is_normalized("NFC", c) for c in _FAST_RANGE), version
@@ -235,11 +234,12 @@ def test_property_tamil_clusters_have_one_base(text):
         assert len(bases) <= 1 or not is_tamil(GraphemeWord((cluster,), cluster))
 
 
-# Letters for checking `segment` against `_segment_slow`: Tamil
-# consonants, signs, vowels and aytham, the anusvara U+0B82 and the AU
-# length mark U+0BD7, the joiners, ASCII and a newline, plus the first
-# combining mark U+0300, a combining acute, a Devanagari vowel sign and
-# an astral letter, which send the text to the loop.
+# Letters for checking `word` against `segment` of `normalize`, its
+# definition: Tamil consonants, signs, vowels and aytham, the anusvara
+# U+0B82 and the AU length mark U+0BD7, the joiners, ASCII and a
+# newline, plus the first combining mark U+0300, a combining acute, a
+# Devanagari vowel sign and an astral letter, which send the text off
+# the fast path.
 _ORACLE_ALPHABET = (
     "கஙசடணதநபமயரலவழளறன"
     "\u0bbe\u0bbf\u0bc0\u0bc1\u0bc2\u0bc6\u0bc7\u0bc8\u0bca\u0bcb\u0bcc\u0bcd"
@@ -253,7 +253,8 @@ _ORACLE_ALPHABET = (
 @settings(max_examples=1000, derandomize=True)
 @given(st.text(alphabet=st.sampled_from(_ORACLE_ALPHABET), max_size=16))
 def test_property_segment_matches_the_slow_loop(text):
-    assert segment(text) == _segment_slow(text)
+    # `segment` is the slow loop; `word`'s fast path must agree with it.
+    assert word(text) == segment(normalize(text)), ascii(text)
 
 
 def test_segment_matches_the_slow_loop_on_every_short_string():
@@ -266,20 +267,20 @@ def test_segment_matches_the_slow_loop_on_every_short_string():
     for n in range(4):
         for chars in itertools.product(letters, repeat=n):
             text = "".join(chars)
-            assert segment(text) == _segment_slow(text), ascii(text)
+            assert word(text) == segment(normalize(text)), ascii(text)
 
 
 def test_segment_matches_the_slow_loop_after_each_code_point_of_the_fast_range():
-    # Every code point the regular expression may see, and the combining
-    # marks just above U+0300 that it must not, after and before each
-    # kind of base, so a mark missing from its classes shows.
+    # Every code point `word`'s regular expression may see, and the
+    # combining marks just above U+0300 that it must not, after and
+    # before each kind of base, so a mark missing from its classes shows.
     fast_range = itertools.chain(
         range(0x0000, 0x0370), range(0x0B80, 0x0C00), (0x200C, 0x200D)
     )
     for c in map(chr, fast_range):
         for base in ("a", "க", "அ", "\u0b82"):
             for text in (base + c, c + base):
-                assert segment(text) == _segment_slow(text), ascii(text)
+                assert word(text) == segment(normalize(text)), ascii(text)
 
 
 @settings(max_examples=1000, derandomize=True)
