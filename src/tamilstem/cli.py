@@ -101,8 +101,10 @@ def _chunk_list(text: str) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
-    """The CLI's parser, built once per process: parsing never changes
-    it."""
+    """The CLI's parser, built once per process.  Each command's parser
+    names the function it runs (``run``).  Parsing changes the parser
+    only on the first parse of ``compare`` or ``generate``, which adds
+    that command's arguments (see `_Parser`)."""
     parser = _Parser(
         prog="tamilstem",
         description="Tamil stemmers with declarative suffix rules.",
@@ -112,42 +114,37 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_rules_flag(p):
-        p.add_argument(
-            "--rules",
-            metavar="PATH",
-            help="rule file to use instead of the built-in rules",
-        )
+    # The flags that more than one command takes.
+    shared = {
+        "--algo": dict(choices=sorted(ENGINES), default="light",
+                       help="stemming engine (default: light)"),
+        "--gold": dict(metavar="PATH",
+                       help="gold file (default: read gold data from stdin)"),
+        "--rules": dict(metavar="PATH",
+                        help="rule file to use instead of the built-in rules"),
+    }
+
+    def add_shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_stem = sub.add_parser("stem", help="stem words read from stdin")
-    p_stem.add_argument(
-        "--algo", choices=sorted(ENGINES), default="light",
-        help="stemming engine (default: light)",
-    )
+    p_stem.set_defaults(run=_cmd_stem)
+    add_shared(p_stem, "--algo")
     p_stem.add_argument(
         "--trace", action="store_true",
         help="emit '#'-prefixed rule applications after each word",
     )
-    add_rules_flag(p_stem)
+    add_shared(p_stem, "--rules")
 
     p_eval = sub.add_parser("eval", help="score an engine against gold data")
-    p_eval.add_argument(
-        "--algo", choices=sorted(ENGINES), default="light",
-        help="stemming engine (default: light)",
-    )
-    p_eval.add_argument(
-        "--gold", metavar="PATH",
-        help="gold file (default: read gold data from stdin)",
-    )
-    add_rules_flag(p_eval)
+    p_eval.set_defaults(run=_cmd_eval)
+    add_shared(p_eval, "--algo", "--gold", "--rules")
 
     def compare_arguments(p_cmp):
         from .evaluation import REPORT_FORMATS
 
-        p_cmp.add_argument(
-            "--gold", metavar="PATH",
-            help="gold file (default: read gold data from stdin)",
-        )
+        add_shared(p_cmp, "--gold")
         p_cmp.add_argument(
             "--chunks", type=_chunk_list, metavar="N,N,...",
             help="cumulative chunk sizes (default: one chunk of everything)",
@@ -156,13 +153,16 @@ def _build_parser() -> _Parser:
             "--format", choices=REPORT_FORMATS, default="table",
             help="report format (default: table)",
         )
-        add_rules_flag(p_cmp)
+        add_shared(p_cmp, "--rules")
 
-    sub.add_parser(
+    p_cmp = sub.add_parser(
         "compare", help="score both engines over cumulative chunks"
-    ).deferred_arguments = compare_arguments
+    )
+    p_cmp.set_defaults(run=_cmd_compare)
+    p_cmp.deferred_arguments = compare_arguments
 
     p_val = sub.add_parser("rules-validate", help="lint a rule file")
+    p_val.set_defaults(run=_cmd_rules_validate)
     p_val.add_argument(
         "path", nargs="?", metavar="PATH",
         help="rule file to check (default: the built-in rules)",
@@ -176,9 +176,11 @@ def _build_parser() -> _Parser:
             help="inflection table to apply to every root",
         )
 
-    sub.add_parser(
+    p_gen = sub.add_parser(
         "generate", help="expand roots from stdin into gold-format pairs"
-    ).deferred_arguments = generate_arguments
+    )
+    p_gen.set_defaults(run=_cmd_generate)
+    p_gen.deferred_arguments = generate_arguments
     return parser
 
 
@@ -349,15 +351,6 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
     return EX_OK
 
 
-_COMMANDS = {
-    "stem": _cmd_stem,
-    "eval": _cmd_eval,
-    "compare": _cmd_compare,
-    "rules-validate": _cmd_rules_validate,
-    "generate": _cmd_generate,
-}
-
-
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     """Run the CLI; returns the process exit code.
 
@@ -381,7 +374,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         (stdout if ok else stderr).write(printed.getvalue())
         return EX_OK if ok else EX_USAGE
     try:
-        return _COMMANDS[args.command](args, stdin, stdout, stderr)
+        return args.run(args, stdin, stdout, stderr)
     except UnicodeDecodeError as exc:  # from a stdin that decodes strictly
         error = _CliError(EX_DATA, f"<stdin>: not valid UTF-8 ({exc.reason})")
     except _CliError as exc:
@@ -411,18 +404,21 @@ def _writable(stream) -> bool:
 def entry() -> None:
     """Console-script entry point.
 
-    stdin, stdout and stderr are UTF-8 whatever the locale, each keeping
-    its error handler (``reconfigure`` would reset it to strict).  A
-    closed output pipe, or a closed stdout, exits 141 with nothing on
-    stderr, and a stderr pipe whose reader has left exits 141 too.  With
-    stderr closed, messages are dropped and the exit code and stdout are
-    those of a run with it open.
+    stdin, stdout and stderr are UTF-8 whatever the locale.  stdin
+    decodes with ``surrogateescape``, so an undecodable byte reaches the
+    command as a lone surrogate and its error names the line; stdout and
+    stderr keep their error handlers (``reconfigure`` would reset them
+    to strict).  A closed output pipe, or a closed stdout, exits 141
+    with nothing on stderr, and a stderr pipe whose reader has left
+    exits 141 too.  With stderr closed, messages are dropped and the
+    exit code and stdout are those of a run with it open.
     """
     if not _writable(sys.stdout):
         sys.exit(EX_PIPE)  # as if the reader had left before any write
     for stream in (sys.stdin, sys.stdout, sys.stderr):
         if stream is not None:
-            stream.reconfigure(encoding="utf-8", errors=stream.errors)
+            errors = "surrogateescape" if stream is sys.stdin else stream.errors
+            stream.reconfigure(encoding="utf-8", errors=errors)
     stdin = sys.stdin if sys.stdin is not None else _ClosedStdin()
     stderr = sys.stderr if _writable(sys.stderr) else io.StringIO()
     try:

@@ -30,7 +30,7 @@ from numbers import Rational
 
 from .graphemes import GraphemeWord, _as_word, _data_lines, _packaged_text, _record, word
 from .paradigm import build_corpus
-from .rules import RuleSet, builtin_rules
+from .rules import RuleSet
 from .stemmers import _both
 
 CSV_HEADER = (
@@ -117,8 +117,6 @@ def load_gold(text: str) -> list[GoldEntry]:
                 lineno, f"expected 2 tab-separated fields, got {len(fields)}"
             )
         surface, stem = fields[0].strip(), fields[1].strip()
-        if not surface or not stem:
-            raise GoldError(lineno, "empty field")
         try:
             entries.append(GoldEntry(words[surface], words[stem]))
         except ValueError as exc:  # a lone surrogate from a failed decode
@@ -153,8 +151,9 @@ def accuracy(n_correct: int, n_unique: int) -> Fraction:
 
 def format_accuracy(value: Rational) -> str:
     """Render a percentage truncated toward zero to one decimal place."""
-    tenths = int(Fraction(value) * 10)
-    return f"{tenths // 10}.{tenths % 10}"
+    tenths = int(Fraction(value) * 10)  # int() truncates toward zero
+    whole, tenth = divmod(abs(tenths), 10)
+    return f"{'-' if tenths < 0 else ''}{whole}.{tenth}"
 
 
 def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
@@ -216,8 +215,6 @@ def compare(
     Row k covers the first ``chunk_sizes[k]`` entries under the gold
     policy, so unique counts are non-decreasing across rows.
     """
-    if rules is None:
-        rules = builtin_rules()
     sizes = list(chunk_sizes)
     for previous, size in zip([0, *sizes], sizes):
         if size < 1:

@@ -28,8 +28,6 @@ from functools import lru_cache
 
 from .graphemes import GraphemeWord, _as_word, _data_lines, _packaged_text, word
 
-PARADIGMS = ("noun", "verb")
-
 _M_FINAL = "ம்"
 _PLURAL = "கள்"
 _M_PLURAL = "ங்கள்"
@@ -94,24 +92,22 @@ def plural_base(root: GraphemeWord | str) -> GraphemeWord:
     return _join(w, _PLURAL)
 
 
-def _noun_number_block(
-    base: GraphemeWord, loc: str, abl: str
-) -> list[GraphemeWord]:
-    endings = (*_SHARED_CASES, loc, abl, _VOCATIVE)
-    return [base] + [_join(base, ending) for ending in endings]
-
-
 def _noun_forms(root: GraphemeWord) -> list[GraphemeWord]:
-    plural = plural_base(root)
     if is_m_final(root):
+        # The singular locative rides on the oblique base (marath-il),
+        # not the nominative.
         oblique = _join(_m_stem(root), _OBLIQUE)
-        singular = _noun_number_block(root, _LOC_PLAIN, _ABL_PLAIN)
-        # The locative rides on the oblique base (marath-il), not the
-        # nominative; patch the slot built above.
-        singular[6] = _join(oblique, _LOC_PLAIN)
-        return singular + _noun_number_block(plural, _LOC_PLAIN, _ABL_PLAIN)
-    singular = _noun_number_block(root, _LOC_ANIMATE, _ABL_ANIMATE)
-    return singular + _noun_number_block(plural, _LOC_ANIMATE, _ABL_ANIMATE)
+        loc, abl = _LOC_PLAIN, _ABL_PLAIN
+    else:
+        oblique, loc, abl = root, _LOC_ANIMATE, _ABL_ANIMATE
+    plural = plural_base(root)
+    forms = []
+    for base, loc_base in ((root, oblique), (plural, plural)):
+        forms.append(base)
+        forms.extend(_join(base, ending) for ending in _SHARED_CASES)
+        forms.append(_join(loc_base, loc))
+        forms.extend(_join(base, ending) for ending in (abl, _VOCATIVE))
+    return forms
 
 
 def _verb_forms(root: GraphemeWord) -> list[GraphemeWord]:
@@ -120,6 +116,11 @@ def _verb_forms(root: GraphemeWord) -> list[GraphemeWord]:
         for series in (_PAST, _PRESENT, _FUTURE, _NEGATIVE)
         for ending in series
     ]
+
+
+# Each paradigm's name and the function that builds its table.
+_FORMS = {"noun": _noun_forms, "verb": _verb_forms}
+PARADIGMS = tuple(_FORMS)
 
 
 def generate_forms(
@@ -137,13 +138,9 @@ def generate_forms(
         raise ValueError(
             f"root too short: need at least 2 letters, got {w.text!r}"
         )
-    if paradigm == "noun":
-        surfaces = _noun_forms(w)
-    elif paradigm == "verb":
-        surfaces = _verb_forms(w)
-    else:
+    if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm: {paradigm!r}")
-    return [(s, w) for s in surfaces]
+    return [(s, w) for s in _FORMS[paradigm](w)]
 
 
 def load_roots(text: str) -> list[tuple[GraphemeWord, str]]:

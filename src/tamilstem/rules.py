@@ -119,7 +119,8 @@ class SuffixRule:
 
 # A suffix-index entry: (rule, its class bit, the mask of its
 # next_classes, the shortest word it applies to, and whether its
-# replacement merges with the letter before it, so keeps one fewer).
+# replacement merges (see `_merges`), which counts one letter fewer
+# kept whatever letter comes before it).
 _Entry = tuple[SuffixRule, int, int, int, bool]
 
 
@@ -169,9 +170,12 @@ class RuleSet:
 
 
 def _merges(replacement: str) -> bool:
-    """Whether *replacement* can join the letter before it: whether
-    segmentation attaches its first character to the preceding letter
-    (every dependent sign is a combining mark)."""
+    """Whether *replacement* starts with a combining mark or joiner, as
+    every dependent sign does.  This depends on the rule alone: the
+    index counts such a replacement as joining the letter before it,
+    which errs toward keeping more where that letter does not take it,
+    such as an independent vowel, or a non-Tamil mark after a Tamil
+    letter."""
     return bool(replacement) and _joins_previous(replacement[0])
 
 

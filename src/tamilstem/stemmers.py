@@ -186,7 +186,7 @@ def light_stem(
 
 
 def _both(
-    rules: RuleSet, text: GraphemeWord | str
+    rules: RuleSet | None, text: GraphemeWord | str
 ) -> tuple[StemResult, StemResult]:
     """``(strip_stem(text, rules), light_stem(text, rules))`` in one walk.
 

@@ -153,6 +153,9 @@ def test_format_accuracy_truncates_toward_zero():
     assert format_accuracy(Fraction(100)) == "100.0"
     assert format_accuracy(Fraction(0)) == "0.0"
     assert format_accuracy(Fraction(999, 10)) == "99.9"
+    assert format_accuracy(Fraction(-1, 10)) == "-0.1"
+    assert format_accuracy(Fraction(-3, 2)) == "-1.5"
+    assert format_accuracy(Fraction(-1, 20)) == "0.0"  # never "-0.0"
 
 
 def test_evaluate_paradigm_is_perfect():

@@ -341,6 +341,17 @@ def test_a_merging_replacement_keeps_min_stem_letters():
     for engine in (light_stem, strip_stem):
         assert engine("கெலம்", rs).stem.text == "கெலம்"
         assert engine("அகெலம்", rs).stem.text == "அகொ"
+    # The count depends on the replacement's first character only: it
+    # is one letter fewer even where that character stays a letter of
+    # its own (after an independent vowel, or as a non-Tamil mark), so
+    # there the rule asks one letter more than min_stem.
+    rs = parse_rules("Case\tகக\tா\t2\t\n")
+    for engine in (light_stem, strip_stem):
+        assert engine("அகக", rs).stem.text == "அகக"
+        assert engine("பஅகக", rs).stem.text == "பஅா"
+    rs = parse_rules("Case\tகக\t\u0301\t1\t\n")
+    for engine in (light_stem, strip_stem):
+        assert engine("கக", rs).stem.text == "கக"
 
 
 def test_rule_application_strictly_shortens():
