@@ -36,6 +36,7 @@ from .rules import (
     RuleConflictError,
     RuleError,
     RuleSet,
+    _matches_none,
     _scan,
     builtin_rules,
     parse_rules,
@@ -275,13 +276,19 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
         text = memo.get(token)
         if text is None:
             _reject_tab(token, lineno, "word")
-            try:
-                result = engine(token, rules)
-            except ValueError as exc:  # a lone surrogate from a failed decode
-                raise _CliError(
-                    EX_DATA, f"<stdin>: line {lineno}: not valid UTF-8 ({exc})"
-                ) from None
-            text = _stem_text(token, result, args.trace)
+            # A token whose text shows that no rule matches it is its own
+            # stem, with no trace, and is written without being segmented.
+            if _matches_none(rules, token):
+                text = f"{token}\t{token}\n"
+            else:
+                try:
+                    result = engine(token, rules)
+                except ValueError as exc:  # a lone surrogate, from a bad byte
+                    raise _CliError(
+                        EX_DATA,
+                        f"<stdin>: line {lineno}: not valid UTF-8 ({exc})",
+                    ) from None
+                text = _stem_text(token, result, args.trace)
             if len(memo) >= _STEM_MEMO_SIZE:
                 memo.clear()
             memo[token] = text

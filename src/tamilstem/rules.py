@@ -21,7 +21,9 @@ manner of Snowball's ``among`` table: pattern letters map to their rules
 in file order, and each word-final letter maps to the lengths of the
 patterns ending in it, longest first.  A lookup reads the word's last
 letter and probes one suffix of each of those lengths, so a word whose
-final letter ends no pattern costs one dictionary miss.
+final letter ends no pattern costs one dictionary miss.  `_matches_none`
+answers from a word's raw text, before it is segmented, for most words
+that no rule matches.
 """
 
 import enum
@@ -30,6 +32,7 @@ from functools import lru_cache
 
 from .graphemes import (
     _DEPENDENT_SIGNS,
+    _NOT_FAST_NFC,
     GraphemeWord,
     _data_lines,
     _joins_previous,
@@ -138,6 +141,9 @@ class RuleSet:
     _lengths: dict[str, tuple[int, ...]] = field(
         init=False, compare=False, repr=False
     )
+    # The last 3 code points of each pattern's text, or all of a shorter
+    # one (see `_matches_none`).
+    _tails: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         index: dict[tuple[str, ...], list[_Entry]] = {}
@@ -163,6 +169,9 @@ class RuleSet:
             self,
             "_lengths",
             {last: tuple(sorted(ks, reverse=True)) for last, ks in lengths.items()},
+        )
+        set_field(
+            self, "_tails", frozenset(rule.pattern.text[-3:] for rule in self.rules)
         )
 
     def __len__(self) -> int:
@@ -342,6 +351,31 @@ def _first_match(
                 if entry[1] & mask and n >= entry[3]:
                     return entry
     return None
+
+
+def _matches_none(rules: RuleSet, text: str) -> bool:
+    """Whether *text*, a raw string, is known to match no rule of *rules*
+    in any class: then both engines return it as its own stem, with an
+    empty trace.  False means only that *text* must be walked.
+
+    It holds because text in which `_NOT_FAST_NFC` finds nothing is
+    already NFC and is the text of its own `word`.  A rule's pattern
+    letters end that word only if its pattern text ends *text*, and
+    then that text's last 3 code points, or all of it if shorter, equal
+    *text*'s last 3, 2 or 1: one of the probes below finds it in
+    ``_tails``.  The probes, slices and set lookups, come first, since
+    most words that a rule matches stop at the first; the search runs
+    only when no probe finds a tail.  A lone surrogate is outside the
+    range the search accepts, so such text is always walked, and fails
+    there.
+    """
+    tails = rules._tails
+    return (
+        text[-3:] not in tails
+        and text[-2:] not in tails
+        and text[-1:] not in tails
+        and _NOT_FAST_NFC.search(text) is None
+    )
 
 
 def _apply(w: GraphemeWord, rule: SuffixRule, merges: bool) -> GraphemeWord:

@@ -14,13 +14,17 @@ fails loudly if its property does not hold within the stated budget:
    against brute-force search over an exhaustive bounded universe
 6. the one walk `compare` runs for both engines gives each engine's own
    result over that universe and the fuzz corpus
-7. joining segmented letters reproduces the text over a 1,000+-word
+7. a word that the text-only check says no rule matches is its own
+   stem with an empty trace under both engines, for five rule sets,
+   over that universe, the fuzz corpus and the bundled gold surfaces
+8. joining segmented letters reproduces the text over a 1,000+-word
    fixture
-8. comparison reports have the right shape, CSV round-trips losslessly,
+9. comparison reports have the right shape, CSV round-trips losslessly,
    and averages match exact rational arithmetic to within 1e-12
-9. light stems 10,000 words in under a second
+10. light stems 10,000 words in under a second, and so does the CLI
 """
 
+import io
 import itertools
 import random
 import time
@@ -31,6 +35,8 @@ from fractions import Fraction
 import pytest
 
 import tamilstem as ts
+from tamilstem import cli
+from tamilstem.rules import _matches_none
 from tamilstem.stemmers import _both
 
 FUZZ_SEED = 987654321
@@ -381,6 +387,53 @@ def test_one_walk_for_both_engines_matches_two(capsys, fuzz_corpus):
     )
 
 
+# Besides the built-in rules and the oracle subset: Latin patterns, and
+# patterns of one and two code points, whose tails are shorter than 3.
+_LATIN_RULES = (
+    "Case\tஉக்கு\t\t1\tPlural\n"
+    "Plural\tங்கள்\tம்\t1\t\n"
+    "Case\ting\t\t1\tPlural\n"
+    "Plural\ts\t\t1\t\n"
+)
+_SHORT_RULES = "Case\tஐ\t\t1\t\nVocative\tஏ\t\t1\t\nPlural\tள்\t\t1\t\n"
+
+
+def test_text_only_no_match_check_is_sound(capsys, fuzz_corpus):
+    rule_sets = {
+        "built-in": ts.builtin_rules(),
+        "oracle subset": _oracle_rules(),
+        "Latin": ts.parse_rules(_LATIN_RULES),
+        "empty": ts.parse_rules(""),
+        "short patterns": ts.parse_rules(_SHORT_RULES),
+    }
+    texts = sorted(
+        {w.text for w in _oracle_universe(_oracle_rules()) + fuzz_corpus}
+        | {e.surface.text for e in ts.bundled_gold()}
+    )
+    problems = []
+    caught = {}
+    for name, rules in rule_sets.items():
+        caught[name] = 0
+        for text in texts:
+            if not _matches_none(rules, text):
+                continue
+            caught[name] += 1
+            for engine in (ts.strip_stem, ts.light_stem):
+                result = engine(text, rules)
+                if result.trace or result.stem.text != text:
+                    problems.append(f"{name}: {engine.__name__}({text!r})")
+        if not caught[name]:
+            problems.append(f"{name}: the check caught no word")
+    _report(
+        capsys,
+        not problems,
+        f"no-match check sound over {len(texts)} words; caught "
+        + ", ".join(f"{n} {name}" for name, n in caught.items())
+        if not problems
+        else f"{len(problems)} violations, first: {problems[:3]}",
+    )
+
+
 def test_segmentation_joins_back_over_fixture(capsys):
     fixture = [s.text for s, _ in ts.build_corpus()]
     fixture += [e.surface.text for e in ts.extra_gold()]
@@ -478,4 +531,25 @@ def test_light_stems_ten_thousand_words_quickly(capsys, fuzz_corpus):
         f"light stemmed {len(fuzz_corpus)} words in {elapsed:.3f}s (< 1s)"
         if elapsed < 1.0
         else f"too slow: {elapsed:.3f}s for {len(fuzz_corpus)} words",
+    )
+
+
+def test_cli_stems_ten_thousand_words_quickly(capsys, fuzz_corpus):
+    stdin = io.StringIO("".join(w.text + "\n" for w in fuzz_corpus))
+    stdout = io.StringIO()
+    start = time.perf_counter()
+    code = cli.main(["stem"], stdin, stdout, io.StringIO())
+    elapsed = time.perf_counter() - start
+    lines = stdout.getvalue().count("\n")
+    problems = []
+    if (code, lines) != (cli.EX_OK, len(fuzz_corpus)):
+        problems.append(f"exit {code} with {lines} lines")
+    if elapsed >= 1.0:
+        problems.append(f"too slow: {elapsed:.3f}s for {len(fuzz_corpus)} words")
+    _report(
+        capsys,
+        not problems,
+        f"CLI stem wrote {lines} lines in {elapsed:.3f}s (< 1s)"
+        if not problems
+        else "; ".join(problems),
     )

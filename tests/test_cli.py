@@ -616,6 +616,42 @@ def test_stem_stems_each_distinct_token_once(monkeypatch):
     assert max(calls.values()) > 1
 
 
+@pytest.mark.parametrize("algo", sorted(ENGINES))
+def test_stem_walks_no_token_whose_text_shows_no_rule_matches(
+    monkeypatch, algo
+):
+    calls = collections.Counter()
+    engine = ENGINES[algo]
+
+    def counting(token, rules):
+        calls[token] += 1
+        return engine(token, rules)
+
+    text = "கணினி\ncomputer\nமரங்கள்\nகணினி\nமரங்கள்\n"
+    expected = _stem_oracle(algo, True, builtin_rules(), text)
+    monkeypatch.setitem(cli.ENGINES, algo, counting)
+    code, out, err = run_cli(["stem", "--algo", algo, "--trace"], text)
+    assert (code, out, err) == (EX_OK, expected, "")
+    assert calls == {"மரங்கள்": 1}
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("algo", sorted(ENGINES))
+def test_stem_with_an_empty_rule_file_echoes_every_token(tmp_path, algo, trace):
+    path = tmp_path / "empty.tsv"
+    path.write_text("# no rules\n", encoding="utf-8")
+    tokens = ["மரங்கள்", "கணினி", "cats", "ஶ்ரீ", "க\u200dஷ", "x", "மரங்கள்"]
+    text = "\ufeff" + "\r\n".join(tokens) + "\n  \n\tகணினி \n"
+    argv = ["stem", "--algo", algo, "--rules", str(path)]
+    argv += ["--trace"] if trace else []
+    code, out, err = run_cli(argv, text)
+    assert (code, err) == (EX_OK, "")
+    assert out == "".join(f"{t}\t{t}\n" for t in tokens) + "\nகணினி\tகணினி\n"
+    # A token that is not NFC is still walked, so its stem is NFC.
+    code, out, err = run_cli(argv, "க\u0bc6\u0bbe\n")
+    assert (code, out, err) == (EX_OK, "க\u0bc6\u0bbe\t\u0b95\u0bca\n", "")
+
+
 @pytest.mark.parametrize(
     "argv,text,out,what",
     [

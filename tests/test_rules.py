@@ -21,6 +21,7 @@ from tamilstem.rules import (
     RuleSet,
     SuffixClass,
     SuffixRule,
+    _matches_none,
     _merges,
     apply_rule,
     builtin_rules,
@@ -567,3 +568,56 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
         ):
             stem, _ = _oracle_walk(rs, w, classes, chain=False, max_steps=1)
             assert helper(w, rs) == stem
+
+
+# Rule sets for the no-match check besides the built-in one: no rules,
+# patterns shorter than 3 code points, and Latin patterns.
+_NO_MATCH_RULES = (
+    "",
+    "Case\tஐ\t\t1\t\nVocative\tஏ\t\t1\t\nPlural\tள்\t\t1\t\n",
+    "Case\tஉக்கு\t\t1\tPlural\nPlural\tங்கள்\tம்\t1\t\n"
+    "Case\ting\t\t1\tPlural\nPlural\ts\t\t1\t\n",
+)
+# Text the check must handle: any Tamil-block code point, the zero-width
+# joiners, the four code point pairs NFC joins in the Tamil block, Latin
+# letters, pattern texts, so that some tokens end in a pattern, and lone
+# surrogates (the residue of an undecodable byte).
+_LONE_SURROGATES = st.integers(0xD800, 0xDFFF).map(chr)
+_piece = st.one_of(
+    st.integers(0x0B80, 0x0BFF).map(chr),
+    st.sampled_from(
+        ["\u200c", "\u200d", "\u0b92\u0bd7", "\u0bc6\u0bbe", "\u0bc6\u0bd7",
+         "\u0bc7\u0bbe"]
+    ),
+    st.sampled_from("abginsz"),
+    st.sampled_from(sorted({r.pattern.text for r in builtin_rules().rules})),
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.sampled_from([None, *_NO_MATCH_RULES]),
+    st.lists(st.one_of(_piece, _LONE_SURROGATES), max_size=6).map("".join),
+)
+def test_no_match_check_is_sound(rules_text, text):
+    rs = builtin_rules() if rules_text is None else parse_rules(rules_text)
+    if not _matches_none(rs, text):
+        return
+    for engine in (strip_stem, light_stem):
+        result = engine(text, rs)
+        assert result.trace == ()
+        assert result.stem.text == text
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    st.sampled_from([None, *_NO_MATCH_RULES]),
+    st.tuples(
+        st.lists(_piece, max_size=3).map("".join),
+        _LONE_SURROGATES,
+        st.lists(_piece, max_size=3).map("".join),
+    ).map("".join),
+)
+def test_no_match_check_passes_no_lone_surrogate(rules_text, text):
+    rs = builtin_rules() if rules_text is None else parse_rules(rules_text)
+    assert not _matches_none(rs, text)
