@@ -148,10 +148,17 @@ class RuleSet:
     def __post_init__(self) -> None:
         index: dict[tuple[str, ...], list[_Entry]] = {}
         lengths: dict[str, set[int]] = {}
+        seen: dict[tuple[SuffixClass, str], int] = {}
         for position, rule in enumerate(self.rules):
             pattern = rule.pattern.graphemes
             if defect := _defect(rule.pattern, rule.replacement, rule.min_stem):
                 raise RuleError(f"rule {position}: {defect}")
+            first = seen.setdefault((rule.klass, rule.pattern.text), position)
+            if first != position:
+                raise RuleError(
+                    f"duplicate rule for class {rule.klass} pattern "
+                    f"{rule.pattern.text!r}: rules {first} and {position}"
+                )
             merges = _merges(rule.replacement.text)
             index.setdefault(pattern, []).append(
                 (

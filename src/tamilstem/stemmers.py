@@ -11,10 +11,11 @@ and stripping stops at a terminal class.  Substitution rules (plural
 ``ங்கள்``→``ம்``, participle ``டிய``→``டு``) restore the base form
 instead of merely cutting.
 
-Both engines are one walk, ``_walk``, under the two class policies, and
-both leave unmatched words untouched, including non-Tamil input.
-``_both`` runs both engines on a word for ``compare``; its docstring
-says when one walk serves both.
+Every entry point is one walk, ``_walk``, over two class masks: the
+classes the first rule may take, and those allowed after each step, or
+None to follow the rule's ``next_classes``.  All leave unmatched words
+untouched, including non-Tamil input.  ``_both`` runs both engines on
+a word for ``compare``; its docstring says when one walk serves both.
 """
 
 from __future__ import annotations
@@ -75,32 +76,30 @@ class StemResult:
 
 
 def _walk(
-    rules: RuleSet | None, text: GraphemeWord | str, chain: bool
+    rules: RuleSet | None, text: GraphemeWord | str, first: int, then: int | None
 ) -> StemResult:
     """Apply the first candidate rule repeatedly, recording each step.
 
-    Any class may match first.  With *chain*, each applied rule's
-    ``next_classes`` become the classes allowed next, so a terminal
-    rule ends the walk; without it every step may use any class.
-    Every rule shortens the word, so the walk always terminates.  A word
-    no rule matches costs one lookup and returns at once, with an empty
-    trace and the word itself as its stem.
+    The first rule's class must be in the mask *first*; after each step,
+    in *then*, or where *then* is None, in the applied rule's
+    ``next_classes``, so a terminal rule ends the walk.  Every rule
+    shortens the word, so the walk always terminates.  A word no rule
+    matches costs one lookup and returns at once, with an empty trace
+    and the word itself as its stem.
     """
     if rules is None:
         rules = builtin_rules()
     start = w = _as_word(text)
-    entry = _first_match(rules, w.graphemes, _ALL)
+    entry = _first_match(rules, w.graphemes, first)
     if entry is None:
         return StemResult(start, start, ())
     trace = []
-    allowed = _ALL
     while entry is not None:
         rule, _bit, next_mask, _shortest, merges = entry
         after = _apply(w, rule, merges)
         trace.append(StemStep(rule, w, after))
         w = after
-        if chain:
-            allowed = next_mask
+        allowed = next_mask if then is None else then
         entry = _first_match(rules, w.graphemes, allowed) if allowed else None
     return StemResult(start, w, tuple(trace))
 
@@ -113,7 +112,7 @@ def strip_stem(
     Stops when no rule matches or stripping would drop below a rule's
     minimum stem length.
     """
-    return _walk(rules, text, chain=False)
+    return _walk(rules, text, _ALL, _ALL)
 
 
 def stem_batch(
@@ -137,40 +136,25 @@ def stem_batch(
     return out
 
 
-def _step(
-    rules: RuleSet | None, text: GraphemeWord | str, allowed: int
-) -> GraphemeWord:
-    """The word after the first candidate rule whose class is in the
-    mask *allowed*, or the word as is."""
-    if rules is None:
-        rules = builtin_rules()
-    w = _as_word(text)
-    entry = _first_match(rules, w.graphemes, allowed)
-    if entry is None:
-        return w
-    rule, _bit, _next_mask, _shortest, merges = entry
-    return _apply(w, rule, merges)
-
-
 def strip_plural(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Apply the single longest plural rule, or return the word as is."""
-    return _step(rules, text, _PLURAL)
+    return _walk(rules, text, _PLURAL, 0).stem
 
 
 def adjectival_to_verb(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Substitute an adjectival-participle ending with its verb base."""
-    return _step(rules, text, _PARTICIPLE)
+    return _walk(rules, text, _PARTICIPLE, 0).stem
 
 
 def strip_tense(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> GraphemeWord:
     """Remove one finite-verb ending (tense, negative, or bare PNG)."""
-    return _step(rules, text, _TENSE_LAYER)
+    return _walk(rules, text, _TENSE_LAYER, 0).stem
 
 
 def light_stem(
@@ -182,7 +166,7 @@ def light_stem(
     belong to the previous rule's ``next_classes``.  An empty
     ``next_classes`` marks a terminal layer and ends the loop.
     """
-    return _walk(rules, text, chain=True)
+    return _walk(rules, text, _ALL, None)
 
 
 def _both(
@@ -197,12 +181,12 @@ def _both(
     `StemResult`.  Past the first that does not, light has stopped or
     parted ways, so it walks the word again.
     """
-    strip = _walk(rules, text, chain=False)
+    strip = _walk(rules, text, _ALL, _ALL)
     trace = strip.trace
     if len(trace) > 1:  # most words take 0 or 1 step: skip the slice
         for prev, step in zip(trace, trace[1:]):
             if step.rule.klass not in prev.rule.next_classes:
-                return strip, _walk(rules, strip.word, chain=True)
+                return strip, _walk(rules, strip.word, _ALL, None)
     return strip, strip
 
 

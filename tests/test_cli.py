@@ -450,7 +450,7 @@ def test_closed_stderr_drops_messages_only(argv, data):
 
 @pytest.mark.parametrize("module", ["tamilstem", "tamilstem.cli"])
 def test_python_m_runs_the_cli(module):
-    launch = ("-m", module)
+    launch = ("-B", "-m", module)  # -B: no bytecode beside the sources
     version = run_entry(["--version"], b"", "utf-8", launch)
     assert (version.returncode, version.stdout, version.stderr) == (
         EX_OK, b"tamilstem 0.1.0\n", b""
@@ -459,6 +459,9 @@ def test_python_m_runs_the_cli(module):
     assert (stem.returncode, stem.stdout.decode(), stem.stderr) == (
         EX_OK, "பெண்கள்\tபெண்\n", b""
     )
+    # The same stdout as `main` run in this process.
+    assert version.stdout.decode() == run_cli(["--version"])[1]
+    assert stem.stdout.decode() == run_cli(["stem"], "பெண்கள்\n")[1]
 
 
 @pytest.mark.parametrize(

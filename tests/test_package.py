@@ -1,10 +1,13 @@
 """The package's import surface: what ``import tamilstem`` loads, where
 its public names are declared, the names of ``evaluation`` and
 ``paradigm`` that load on first access, that scoring needs only the
-standard library, and reading the bundled data from a zip."""
+standard library, reading the bundled data from a zip, and the README's
+library example."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -160,3 +163,22 @@ def test_data_stays_readable_through_importlib_resources():
     data = resources.files("tamilstem.data")
     for name in ("builtin_rules.tsv", "default_roots.tsv", "extra_gold.tsv"):
         assert data.joinpath(name).read_text(encoding="utf-8") == _packaged_text(name)
+
+
+def test_readme_library_example_gives_what_its_comments_say():
+    # Each `expr  # literal` line of the block must evaluate to literal.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as f:
+        (block,) = re.findall(r"^```python\n(.*?)^```", f.read(), re.M | re.S)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        _, commented, literal = lines[statement.end_lineno - 1].partition("  # ")
+        if isinstance(statement, ast.Expr) and commented:
+            assert eval(code, namespace) == ast.literal_eval(literal), code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 4

@@ -292,6 +292,26 @@ def test_a_directly_built_ruleset_refuses_what_parse_rules_does(line):
         dataclasses.replace(builtin_rules(), rules=(rule,))
 
 
+def test_a_directly_built_ruleset_refuses_a_duplicate_class_and_pattern():
+    # With another min_stem the second rule could fire where the first
+    # does not: a set no rule file can state, since parse_rules refuses it.
+    rule = SuffixRule(SuffixClass.CASE, word("கள்"), word(""), 2, frozenset(), 0)
+    again = dataclasses.replace(rule, min_stem=1, order=1)
+    with pytest.raises(RuleConflictError):
+        parse_rules("Case\tகள்\t\t2\t\nCase\tகள்\t\t1\t\n")
+    with pytest.raises(RuleError) as built:
+        RuleSet((rule, again))
+    assert str(built.value) == (
+        "duplicate rule for class Case pattern 'கள்': rules 0 and 1"
+    )
+    builtin = builtin_rules()
+    with pytest.raises(RuleError, match=f"rules 0 and {len(builtin)}$"):
+        dataclasses.replace(builtin, rules=builtin.rules + (builtin.rules[0],))
+    # The same pattern in another class is no conflict.
+    plural = dataclasses.replace(again, klass=SuffixClass.PLURAL)
+    assert len(RuleSet((rule, plural))) == 2
+
+
 def test_repr_is_the_same_under_every_hash_seed():
     code = (
         "import tamilstem as ts; print(repr(ts.builtin_rules())); "
