@@ -105,22 +105,28 @@ class _Words(dict):
 def load_gold(text: str) -> list[GoldEntry]:
     """Parse ``surface<TAB>stem`` lines; ``#`` comments and blanks skip.
 
-    Each distinct field text is segmented once per call, and its entries
-    share one `GraphemeWord`.
+    Each distinct line is parsed once per call, and its repeats share one
+    (frozen) `GoldEntry`.  Each distinct field text is segmented once per
+    call, and its entries share one `GraphemeWord`.
     """
     entries = []
     words = _Words()
+    parsed = {}  # raw line to its entry; only lines that parsed cleanly
     for lineno, line in _data_lines(text):
-        fields = line.strip().split("\t")
-        if len(fields) != 2:
-            raise GoldError(
-                lineno, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        surface, stem = fields[0].strip(), fields[1].strip()
-        try:
-            entries.append(GoldEntry(words[surface], words[stem]))
-        except ValueError as exc:  # a lone surrogate from a failed decode
-            raise GoldError(lineno, str(exc)) from None
+        entry = parsed.get(line)
+        if entry is None:
+            fields = line.strip().split("\t")
+            if len(fields) != 2:
+                raise GoldError(
+                    lineno,
+                    f"expected 2 tab-separated fields, got {len(fields)}",
+                )
+            surface, stem = fields[0].strip(), fields[1].strip()
+            try:
+                entry = parsed[line] = GoldEntry(words[surface], words[stem])
+            except ValueError as exc:  # a lone surrogate from a failed decode
+                raise GoldError(lineno, str(exc)) from None
+        entries.append(entry)
     return entries
 
 

@@ -265,6 +265,9 @@ def test_console_script_runs():
 
 
 _ENTRY = "from tamilstem.cli import entry; entry()"
+# Every fresh interpreter starts with -B, so it writes no bytecode beside
+# the sources.
+_PYTHON = (sys.executable, "-B")
 
 
 def _entry_env(io_encoding: str, buffered: bool = True) -> dict:
@@ -285,7 +288,7 @@ def run_entry(
     """Run the console entry point in a fresh interpreter on raw bytes;
     *launch* names the code to run as ``python`` options."""
     return subprocess.run(
-        [sys.executable, *launch, *argv],
+        [*_PYTHON, *launch, *argv],
         input=data,
         capture_output=True,
         timeout=60,
@@ -375,7 +378,7 @@ def test_closed_output_pipe_exits_141_quietly(argv, data, fd, tmp_path):
             os.close(read)  # the reader leaves before anything is written
         with open(source, "rb") as stdin:
             proc = subprocess.Popen(
-                [sys.executable, "-c", _ENTRY, *argv],
+                [*_PYTHON, "-c", _ENTRY, *argv],
                 stdin=stdin,
                 stdout=write if fd == 1 else subprocess.PIPE,
                 stderr=write if fd == 2 else subprocess.PIPE,
@@ -392,7 +395,7 @@ def test_closed_output_pipe_exits_141_quietly(argv, data, fd, tmp_path):
 
 def test_closed_stdin_exits_66():
     proc = subprocess.run(
-        [sys.executable, "-c", _ENTRY, "stem"],
+        [*_PYTHON, "-c", _ENTRY, "stem"],
         stdin=subprocess.DEVNULL,
         preexec_fn=lambda: os.close(0),
         capture_output=True,
@@ -407,7 +410,7 @@ def test_closed_stdin_exits_66():
 def _run_entry_closing(fd: int, argv, data: bytes, buffered: bool):
     """`run_entry` with file descriptor *fd* closed before exec."""
     return subprocess.run(
-        [sys.executable, "-c", _ENTRY, *argv],
+        [*_PYTHON, "-c", _ENTRY, *argv],
         input=data,
         preexec_fn=lambda: os.close(fd),
         capture_output=True,
@@ -450,7 +453,7 @@ def test_closed_stderr_drops_messages_only(argv, data):
 
 @pytest.mark.parametrize("module", ["tamilstem", "tamilstem.cli"])
 def test_python_m_runs_the_cli(module):
-    launch = ("-B", "-m", module)  # -B: no bytecode beside the sources
+    launch = ("-m", module)
     version = run_entry(["--version"], b"", "utf-8", launch)
     assert (version.returncode, version.stdout, version.stderr) == (
         EX_OK, b"tamilstem 0.1.0\n", b""

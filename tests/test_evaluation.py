@@ -115,12 +115,91 @@ def test_load_gold_matches_a_line_by_line_oracle(seed):
     assert load_gold(text) == expected
 
 
+def _main(argv, text):
+    """``main(argv)`` on *text* as stdin: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = main(argv, stdin=io.StringIO(text), stdout=stdout, stderr=stderr)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _memo_gold_text(seed):
+    """Gold text whose lines repeat Zipf-wise, with a BOM on line 1 (its
+    line repeated later without one), CRLF endings and outer whitespace
+    on some repeats, comments, blank lines and one conflicting duplicate."""
+    rng = random.Random(seed)
+    pool = [f"{e.surface.text}\t{e.expected_stem.text}" for e in bundled_gold()]
+    rng.shuffle(pool)
+    weights = [1 / rank for rank in range(1, len(pool) + 1)]
+    lines = rng.choices(pool, weights, k=3000)
+    surface = lines[1].split("\t")[0]
+    lines.append(f"{surface}\t{surface}ம்")  # a conflict
+    rng.shuffle(lines)
+    noisy = []
+    for line in lines:
+        kind = rng.randrange(8)
+        if kind == 0:
+            noisy.append(line + "\r")
+        elif kind == 1:
+            noisy.append(" " + line + " ")
+        elif kind == 2:
+            noisy.extend(["# " + line, "", line])
+        else:
+            noisy.append(line)
+    hot = pool[0]
+    return "\ufeff" + "\n".join([hot, *noisy, hot, hot + "\r"]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_load_gold_line_memo_matches_each_line_parsed_alone(seed):
+    text = _memo_gold_text(seed)
+    oracle, data_lines = [], []
+    # The raw lines as `_data_lines` yields them: line 1 without its BOM.
+    for line in text.removeprefix("\ufeff").split("\n"):
+        alone = load_gold(line)
+        assert len(alone) <= 1
+        oracle.extend(alone)
+        data_lines.extend([line] * len(alone))
+    assert len(set(data_lines)) < len(oracle) > 3000
+    gold = load_gold(text)
+    assert gold == oracle
+
+    # Equal raw lines give the same entry object, the BOM line included.
+    shared = {}
+    for line, entry in zip(data_lines, gold, strict=True):
+        assert shared.setdefault(line, entry) is entry
+    assert gold[data_lines.index(data_lines[0], 1)] is gold[0]
+
+    chunks = [100, 1000, len(gold)]
+    report, message = _one_conflict_warning(compare, gold, chunks)
+    assert (report, message) == _one_conflict_warning(compare, oracle, chunks)
+    for engine in (strip_stem, light_stem):
+        assert _one_conflict_warning(evaluate, engine, gold) == (
+            _one_conflict_warning(evaluate, engine, oracle)
+        )
+
+
 def test_load_gold_names_the_first_line_of_a_repeated_bad_field():
-    bad = "மர\udcffம்"
-    text = f"மரம்\tமரம்\nபடி\tபடி\n{bad}\tமரம்\nபடி\tபடி\n{bad}\tமரம்\n"
-    with pytest.raises(GoldError, match="^line 3: ") as exc:
-        load_gold(text)
-    assert exc.value.line == 3
+    # A malformed line and an undecodable one (a lone surrogate, as a
+    # failed decode leaves it), each on lines 3 and 5.
+    for bad in ("மரம்", "மர\udcffம்\tமரம்"):
+        text = f"மரம்\tமரம்\nபடி\tபடி\n{bad}\nபடி\tபடி\n{bad}\n"
+        with pytest.raises(GoldError, match="^line 3: ") as exc:
+            load_gold(text)
+        assert exc.value.line == 3
+        for command in ("eval", "compare"):
+            assert _main([command], text) == (
+                65, "", f"tamilstem: error: <stdin>: {exc.value}\n"
+            )
+
+
+def test_eval_output_is_the_same_when_every_gold_line_is_doubled():
+    generated = _main(["generate", "--paradigm", "verb"], "படி\nஓடு\n")[1]
+    conflicting = generated + "படித்தேன்\tவேறு\n"
+    for text in (generated, conflicting):
+        doubled = "".join(line + line for line in text.splitlines(True))
+        for algo in ("strip", "light"):
+            argv = ["eval", "--algo", algo]
+            assert _main(argv, doubled) == _main(argv, text)
 
 
 def test_dataset_stats():

@@ -322,7 +322,7 @@ def test_repr_is_the_same_under_every_hash_seed():
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tamilstem.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-B", "-c", code],
             capture_output=True,
             timeout=60,
             env=env,
