@@ -41,7 +41,7 @@ from .rules import (
     builtin_rules,
     parse_rules,
 )
-from .stemmers import ENGINES
+from .stemmers import _ENGINE_MASKS, ENGINES, _walk
 
 EX_OK = 0
 EX_RULE_CONFLICT = 2
@@ -248,21 +248,20 @@ def _reporting_warnings(stderr, score, *args):
     return result
 
 
-def _stem_text(token: str, result, trace: bool) -> str:
-    """What ``stem`` writes for *token*: its line, then any trace lines."""
-    text = f"{token}\t{result.stem.text}\n"
-    if trace:
-        for step in result.trace:
-            text += (
-                f"# {step.rule.klass}\t{step.rule.pattern.text}\t"
-                f"{step.rule.replacement.text}\t{step.after.text}\n"
-            )
-    return text
+def _trace_text(steps) -> str:
+    """The ``#`` lines ``stem --trace`` writes after a word's line."""
+    return "".join(
+        f"# {step.rule.klass}\t{step.rule.pattern.text}\t"
+        f"{step.rule.replacement.text}\t{step.after.text}\n"
+        for step in steps
+    )
 
 
 def _cmd_stem(args, stdin, stdout, stderr) -> int:
     rules = _load_rules(args.rules)
-    engine = ENGINES[args.algo]
+    masks = _ENGINE_MASKS[args.algo]
+    # Only --trace builds the trace: `_walk` appends its steps here.
+    trace = [] if args.trace else None
     write = stdout.write
     # Running text repeats a few word forms, so each distinct token is
     # stemmed once per run.  A failing token is never stored, so the
@@ -282,13 +281,16 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
                 text = f"{token}\t{token}\n"
             else:
                 try:
-                    result = engine(token, rules)
+                    stem = _walk(rules, token, masks, trace)
                 except ValueError as exc:  # a lone surrogate, from a bad byte
                     raise _CliError(
                         EX_DATA,
                         f"<stdin>: line {lineno}: not valid UTF-8 ({exc})",
                     ) from None
-                text = _stem_text(token, result, args.trace)
+                text = f"{token}\t{stem.text}\n"
+                if trace:
+                    text += _trace_text(trace)
+                    trace.clear()
             if len(memo) >= _STEM_MEMO_SIZE:
                 memo.clear()
             memo[token] = text

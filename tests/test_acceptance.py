@@ -17,11 +17,14 @@ fails loudly if its property does not hold within the stated budget:
 7. a word that the text-only check says no rule matches is its own
    stem with an empty trace under both engines, for five rule sets,
    over that universe, the fuzz corpus and the bundled gold surfaces
-8. joining segmented letters reproduces the text over a 1,000+-word
+8. `stem` without `--trace` writes exactly the non-`#` lines of
+   `stem --trace`, and those are each engine's stems, for three rule
+   sets over the bundled gold surfaces and the fuzz corpus
+9. joining segmented letters reproduces the text over a 1,000+-word
    fixture
-9. comparison reports have the right shape, CSV round-trips losslessly,
+10. comparison reports have the right shape, CSV round-trips losslessly,
    and averages match exact rational arithmetic to within 1e-12
-10. light stems 10,000 words in under a second, and so does the CLI
+11. light stems 10,000 words in under a second, and so does the CLI
 """
 
 import io
@@ -33,6 +36,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tamilstem as ts
 from tamilstem import cli
@@ -432,6 +436,116 @@ def test_text_only_no_match_check_is_sound(capsys, fuzz_corpus):
         if not problems
         else f"{len(problems)} violations, first: {problems[:3]}",
     )
+
+
+# A user rule set with a merging replacement: `லம்` gives way to the
+# vowel sign `ா`, which joins the letter before it (`rules._merges`).
+_MERGING_RULES = (
+    "Case\tலம்\tா\t2\tPlural\n"
+    "Case\tஉக்கு\t\t1\tPlural\n"
+    "Plural\tங்கள்\tம்\t1\t\n"
+)
+_MERGING_WORDS = ["படலம்", "படலங்கள்", "படலம்உக்கு", "கெலம்", "மரங்கள்உக்கு"]
+
+
+@pytest.fixture(scope="module")
+def stem_rule_sets(tmp_path_factory):
+    """name -> (rules, the ``stem`` arguments that select them)."""
+    folder = tmp_path_factory.mktemp("rules")
+    sets = {"built-in": (ts.builtin_rules(), [])}
+    for name, text in [
+        ("oracle subset", ts.render_rules(_oracle_rules())),
+        ("merging", _MERGING_RULES),
+    ]:
+        path = folder / f"{name.replace(' ', '-')}.tsv"
+        path.write_text(text, encoding="utf-8")
+        sets[name] = (ts.parse_rules(text), ["--rules", str(path)])
+    return sets
+
+
+def _run_stem(argv, text):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = cli.main(argv, io.StringIO(text), stdout, stderr)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _plain_stem_problems(rules, flags, tokens):
+    """How ``stem`` without ``--trace`` fails to write the non-``#``
+    lines of ``stem --trace``, or those fail to match each engine's
+    stem, on *tokens*, one per line; and the traced output per engine."""
+    text = "".join(t + "\n" for t in tokens)
+    problems, traced_out = [], {}
+    for algo, engine in ts.ENGINES.items():
+        argv = ["stem", "--algo", algo, *flags]
+        plain = _run_stem(argv, text)
+        code, traced, err = _run_stem(argv + ["--trace"], text)
+        traced_out[algo] = traced
+        untraced = "\n".join(
+            line for line in traced.split("\n") if not line.startswith("#")
+        )
+        expected = "".join(f"{t}\t{engine(t, rules).stem.text}\n" for t in tokens)
+        if plain != (cli.EX_OK, expected, ""):
+            problems.append(f"{algo}: plain stem differs from the engine")
+        if (code, untraced, err) != (cli.EX_OK, expected, ""):
+            problems.append(f"{algo}: traced stem differs from the engine")
+    return problems, traced_out
+
+
+def test_plain_stem_is_traced_stem_without_its_trace(
+    capsys, fuzz_corpus, stem_rule_sets
+):
+    tokens = [e.surface.text for e in ts.bundled_gold()]
+    tokens += [w.text for w in fuzz_corpus] + _MERGING_WORDS
+    problems = []
+    for name, (rules, flags) in stem_rule_sets.items():
+        found, traced = _plain_stem_problems(rules, flags, tokens)
+        problems += [f"{name}: {p}" for p in found]
+        if name == "merging" and "# Case\tலம்\tா\t" not in traced["light"]:
+            problems.append("merging: the merging rule never applied")
+    _report(
+        capsys,
+        not problems,
+        f"plain stem = traced stem minus '#' lines = engine stem, on "
+        f"{len(tokens)} words x {len(stem_rule_sets)} rule sets x 2 engines"
+        if not problems
+        else "; ".join(problems),
+    )
+
+
+# Tokens as ``stem`` reads them: Tamil (`படலங்கள்` is where light
+# and strip part under `_MERGING_RULES`), non-NFC spellings (`ெ` + `ா`
+# composes to `ொ`), joiners, a combining acute, Latin and any tab-free
+# ASCII.
+_TOKEN_PIECES = [
+    "க", "ட", "ப", "ம", "ல", "ங்கள்", "உக்கு", "லம்", "த்", "இல்",
+    "படலங்கள்", "ெ", "ா", "ௗ", "ொ", "்", "ி", "\u200d", "\u200c",
+    "\u0301", "e", "s", "ing", "é", " ",
+]
+_ASCII = st.characters(min_codepoint=0, max_codepoint=127,
+                       blacklist_characters="\t\n")
+_TOKENS = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(_TOKEN_PIECES), min_size=1, max_size=8)
+        .map("".join),
+        st.text(_ASCII, min_size=1, max_size=10),
+        st.text(
+            st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\t\n"),
+            min_size=1, max_size=6,
+        ),
+    ).map(str.strip).filter(lambda t: t and not t.startswith("#")),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(tokens=_TOKENS)
+def test_plain_stem_agrees_with_traced_stem_on_any_tokens(
+    stem_rule_sets, tokens
+):
+    for name, (rules, flags) in stem_rule_sets.items():
+        problems, _ = _plain_stem_problems(rules, flags, tokens)
+        assert not problems, (name, problems, tokens)
 
 
 def test_segmentation_joins_back_over_fixture(capsys):

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import tamilstem
-from tamilstem import cli
+from tamilstem import cli, stemmers
 from tamilstem.cli import (
     EX_DATA,
     EX_NOINPUT,
@@ -601,44 +601,86 @@ def test_stem_matches_a_line_by_line_oracle(tmp_path, seed, algo, trace, custom)
     assert out == _stem_oracle(algo, trace, rules, text)
 
 
-def test_stem_stems_each_distinct_token_once(monkeypatch):
+def _count_walks(monkeypatch):
+    """Count, per token, the walks ``stem`` runs (its one call site)."""
     calls = collections.Counter()
-    light = ENGINES["light"]
+    walk = cli._walk
 
-    def counting(token, rules):
+    def counting(rules, token, *args):
         calls[token] += 1
-        return light(token, rules)
+        return walk(rules, token, *args)
 
-    monkeypatch.setitem(cli.ENGINES, "light", counting)
+    monkeypatch.setattr(cli, "_walk", counting)
+    return calls
+
+
+def test_stem_stems_each_distinct_token_once(monkeypatch):
+    calls = _count_walks(monkeypatch)
     text = _zipf_stream(4, 400)
-    code, out, _ = run_cli(["stem", "--trace"], text)
-    assert code == EX_OK
-    assert calls and set(calls.values()) == {1}
+    memo_size = cli._STEM_MEMO_SIZE
+    for argv in (["stem"], ["stem", "--trace"]):
+        calls.clear()
+        monkeypatch.setattr(cli, "_STEM_MEMO_SIZE", memo_size)
+        code, out, _ = run_cli(argv, text)
+        assert code == EX_OK
+        assert calls and set(calls.values()) == {1}
 
-    calls.clear()
-    monkeypatch.setattr(cli, "_STEM_MEMO_SIZE", 2)
-    code, bounded, _ = run_cli(["stem", "--trace"], text)
-    assert (code, bounded) == (EX_OK, out)
-    assert max(calls.values()) > 1
+        calls.clear()
+        monkeypatch.setattr(cli, "_STEM_MEMO_SIZE", 2)
+        code, bounded, _ = run_cli(argv, text)
+        assert (code, bounded) == (EX_OK, out)
+        assert max(calls.values()) > 1
 
 
 @pytest.mark.parametrize("algo", sorted(ENGINES))
 def test_stem_walks_no_token_whose_text_shows_no_rule_matches(
     monkeypatch, algo
 ):
-    calls = collections.Counter()
-    engine = ENGINES[algo]
-
-    def counting(token, rules):
-        calls[token] += 1
-        return engine(token, rules)
-
     text = "கணினி\ncomputer\nமரங்கள்\nகணினி\nமரங்கள்\n"
-    expected = _stem_oracle(algo, True, builtin_rules(), text)
-    monkeypatch.setitem(cli.ENGINES, algo, counting)
-    code, out, err = run_cli(["stem", "--algo", algo, "--trace"], text)
-    assert (code, out, err) == (EX_OK, expected, "")
-    assert calls == {"மரங்கள்": 1}
+    calls = _count_walks(monkeypatch)
+    for trace in (False, True):
+        calls.clear()
+        expected = _stem_oracle(algo, trace, builtin_rules(), text)
+        argv = ["stem", "--algo", algo] + (["--trace"] if trace else [])
+        code, out, err = run_cli(argv, text)
+        assert (code, out, err) == (EX_OK, expected, "")
+        assert calls == {"மரங்கள்": 1}
+
+
+def _count_trace_objects(monkeypatch):
+    """Count the `StemStep`s and `StemResult`s the walks build."""
+    built = collections.Counter()
+    for cls in (stemmers.StemStep, stemmers.StemResult):
+
+        class Counting(cls):
+            __slots__ = ()
+
+            def __init__(self, *fields, name=cls.__name__):
+                built[name] += 1
+                super().__init__(*fields)
+
+        monkeypatch.setattr(stemmers, cls.__name__, Counting)
+    return built
+
+
+def test_untraced_stem_and_single_step_helpers_build_no_trace(monkeypatch):
+    text = _zipf_stream(5, 300)
+    expected = {a: _stem_oracle(a, False, builtin_rules(), text) for a in ENGINES}
+    surfaces = [s.text for s, _ in build_corpus()]
+    built = _count_trace_objects(monkeypatch)
+    for algo in sorted(ENGINES):
+        code, out, _ = run_cli(["stem", "--algo", algo], text)
+        assert (code, out) == (EX_OK, expected[algo])
+    changed = 0
+    for helper in (tamilstem.strip_plural, tamilstem.adjectival_to_verb,
+                   tamilstem.strip_tense):
+        changed += sum(helper(s).text != s for s in surfaces)
+    assert changed and not built
+    # The counting classes do see what the traced walks build.
+    run_cli(["stem", "--trace"], text)
+    assert built["StemStep"] and not built["StemResult"]
+    tamilstem.light_stem("மரங்கள்")
+    assert built["StemResult"] == 1
 
 
 @pytest.mark.parametrize("trace", [False, True])
