@@ -167,9 +167,9 @@ def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
     ``(n_words, n_unique, *correct)`` at each of *boundaries*: the
     counts so far, one correct count per engine.
 
-    *stems* maps a surface to a `StemResult` from each of *engines*
-    engines.  It runs on the first entry of each surface up to the last
-    boundary only; the conflict scan goes on to the end of *gold*.
+    *stems* maps a surface to its stem `GraphemeWord` under each of
+    *engines* engines.  It runs on the first entry of each surface up to
+    the last boundary only; the conflict scan goes on to the end of *gold*.
     """
     first: dict[str, str] = {}  # surface text to its expected stem text
     conflicts = set()
@@ -183,8 +183,8 @@ def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
         if expected is None:
             first[surface] = stem
             if position <= last:
-                for index, result in enumerate(stems(entry.surface)):
-                    if result.stem.text == stem:
+                for index, got in enumerate(stems(entry.surface)):
+                    if got.text == stem:
                         correct[index] += 1
         elif expected != stem:
             conflicts.add(surface)
@@ -205,7 +205,7 @@ def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
     ((_, n_unique, n_correct),) = _score(
-        gold, lambda w: (stemmer(w),), 1, [len(gold)]
+        gold, lambda w: (stemmer(w).stem,), 1, [len(gold)]
     )
     return n_unique, n_correct
 

@@ -236,11 +236,11 @@ def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
         min_stem = int(min_stem_text)
     except ValueError:
         min_stem = min_stem_text  # which `_defect` reports
-    pattern = word(pattern_text)
+    pattern = word(pattern_text.strip())
     # A bad pattern is reported before the replacement is read, which
     # raises ValueError on a lone surrogate.
     defect = _defect(pattern) or _defect(
-        pattern, replacement := word(replacement_text), min_stem
+        pattern, replacement := word(replacement_text.strip()), min_stem
     )
     if defect:
         raise error(defect)

@@ -14,15 +14,14 @@ instead of merely cutting.
 Every entry point is one walk, ``_walk``, over two class masks: the
 classes the first rule may take, and those allowed after each step, or
 None to follow the rule's ``next_classes``.  All leave unmatched words
-untouched, including non-Tamil input.  ``_both`` runs both engines on
-a word for ``compare``; its docstring says when one walk serves both.
+untouched, including non-Tamil input.  ``_both`` gives ``compare`` a
+word's strip and light stems, as two `GraphemeWord`s.
 
-A walk builds trace objects (`StemStep`, and the `StemResult` around
-them) only for a caller that asks for the trace.  The single-step
-helpers, and ``tamilstem stem`` without ``--trace``, read the stem
-alone.  Building the trace was about a fifth of the CLI's time on new
-words: without it, ``stem`` on the benchmark's generate-compare stream
-went from 91.5k to 111.9k words/s.
+A walk builds `StemStep`s only for a caller that passes it a list, and
+only ``strip_stem`` and ``light_stem`` build a `StemResult`.  The
+single-step helpers and ``tamilstem stem`` without ``--trace`` read the
+stem alone; ``_both`` keeps strip's steps only to find where the
+engines part.
 """
 
 from __future__ import annotations
@@ -200,22 +199,21 @@ def light_stem(
 
 def _both(
     rules: RuleSet | None, text: GraphemeWord | str
-) -> tuple[StemResult, StemResult]:
-    """``(strip_stem(text, rules), light_stem(text, rules))`` in one walk.
+) -> tuple[GraphemeWord, GraphemeWord]:
+    """The strip and light stems of *text*, from one walk where they agree.
 
     While each of strip's steps takes a class in the previous rule's
     ``next_classes``, light takes the same steps: both probe the same
     index in the same order, and light allows a subset of strip's
-    classes.  If all of strip's steps do, both are the same (frozen)
-    `StemResult`.  Past the first that does not, light has stopped or
-    parted ways, so it walks the word again.
+    classes.  If all of strip's steps do, both stems are the same
+    object.  Past the first that does not, light has stopped or parted
+    ways, so it walks the word again.
     """
-    strip = strip_stem(text, rules)
-    trace = strip.trace
-    if len(trace) > 1:  # most words take 0 or 1 step: skip the slice
-        for prev, step in zip(trace, trace[1:]):
-            if step.rule.klass not in prev.rule.next_classes:
-                return strip, light_stem(strip.word, rules)
+    steps: list[StemStep] = []
+    strip = _walk(rules, text, _STRIP, steps)
+    for prev, step in zip(steps, steps[1:]):
+        if step.rule.klass not in prev.rule.next_classes:
+            return strip, _walk(rules, steps[0].before, _LIGHT)
     return strip, strip
 
 

@@ -187,6 +187,26 @@ def test_rules_validate_malformed(tmp_path):
     assert "line 1" in out
 
 
+def test_rules_validate_ignores_whitespace_around_pattern(tmp_path):
+    plain = "Case\tஉக்கு\t\t2\t\n"
+    padded = "Case\t உக்கு \t \t2\t\n"
+    outputs = []
+    for name, text in [("plain", plain), ("padded", padded),
+                       ("both", plain + padded), ("blank", "Case\t \t\t2\t\n")]:
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(text, encoding="utf-8")
+        outputs.append(run_cli(["rules-validate", str(path)])[:2])
+    assert outputs == [
+        (EX_OK, "ok: 1 rules\n"),
+        (EX_OK, "ok: 1 rules\n"),
+        (
+            EX_RULE_CONFLICT,
+            "duplicate rule for class Case pattern 'உக்கு': lines 1 and 2\n",
+        ),
+        (EX_DATA, "line 1: empty pattern\n"),
+    ]
+
+
 def test_rules_validate_unknown_class_named_like_a_conflict(tmp_path):
     bad = tmp_path / "rules.tsv"
     bad.write_text("duplicate rule\tx\t\t1\t\n", encoding="utf-8")
@@ -265,9 +285,6 @@ def test_console_script_runs():
 
 
 _ENTRY = "from tamilstem.cli import entry; entry()"
-# Every fresh interpreter starts with -B, so it writes no bytecode beside
-# the sources.
-_PYTHON = (sys.executable, "-B")
 
 
 def _entry_env(io_encoding: str, buffered: bool = True) -> dict:
@@ -288,7 +305,7 @@ def run_entry(
     """Run the console entry point in a fresh interpreter on raw bytes;
     *launch* names the code to run as ``python`` options."""
     return subprocess.run(
-        [*_PYTHON, *launch, *argv],
+        [sys.executable, *launch, *argv],
         input=data,
         capture_output=True,
         timeout=60,
@@ -378,7 +395,7 @@ def test_closed_output_pipe_exits_141_quietly(argv, data, fd, tmp_path):
             os.close(read)  # the reader leaves before anything is written
         with open(source, "rb") as stdin:
             proc = subprocess.Popen(
-                [*_PYTHON, "-c", _ENTRY, *argv],
+                [sys.executable, "-c", _ENTRY, *argv],
                 stdin=stdin,
                 stdout=write if fd == 1 else subprocess.PIPE,
                 stderr=write if fd == 2 else subprocess.PIPE,
@@ -395,7 +412,7 @@ def test_closed_output_pipe_exits_141_quietly(argv, data, fd, tmp_path):
 
 def test_closed_stdin_exits_66():
     proc = subprocess.run(
-        [*_PYTHON, "-c", _ENTRY, "stem"],
+        [sys.executable, "-c", _ENTRY, "stem"],
         stdin=subprocess.DEVNULL,
         preexec_fn=lambda: os.close(0),
         capture_output=True,
@@ -410,7 +427,7 @@ def test_closed_stdin_exits_66():
 def _run_entry_closing(fd: int, argv, data: bytes, buffered: bool):
     """`run_entry` with file descriptor *fd* closed before exec."""
     return subprocess.run(
-        [*_PYTHON, "-c", _ENTRY, *argv],
+        [sys.executable, "-c", _ENTRY, *argv],
         input=data,
         preexec_fn=lambda: os.close(fd),
         capture_output=True,
@@ -681,6 +698,36 @@ def test_untraced_stem_and_single_step_helpers_build_no_trace(monkeypatch):
     assert built["StemStep"] and not built["StemResult"]
     tamilstem.light_stem("மரங்கள்")
     assert built["StemResult"] == 1
+
+
+def test_compare_builds_no_stem_result(monkeypatch):
+    # Besides the bundled gold: roots that end in a rule's pattern, whose
+    # forms part the engines, so `_both` walks light a second time.
+    confusable = [
+        tamilstem.GoldEntry(surface, stem)
+        for rule in builtin_rules().rules
+        for paradigm in PARADIGMS
+        for surface, stem in tamilstem.generate_forms(
+            "பட" + rule.pattern.text, paradigm
+        )
+    ]
+    golds = [list(tamilstem.bundled_gold()), confusable]
+    texts = [
+        "".join(f"{e.surface.text}\t{e.expected_stem.text}\n" for e in gold)
+        for gold in golds
+    ]
+    argv = ["compare", "--format", "json"]
+    expected = [run_cli(argv, text) for text in texts]
+    built = _count_trace_objects(monkeypatch)
+    with pytest.warns(tamilstem.GoldConflictWarning):
+        reports = [tamilstem.compare(gold, [len(gold)]) for gold in golds]
+    assert [run_cli(argv, text) for text in texts] == expected
+    (row,) = reports[1].rows
+    assert row.n_correct_light > row.n_correct_strip
+    # The walks record strip's steps to find where the engines part.
+    assert built["StemStep"] and not built["StemResult"]
+    tamilstem.evaluate(tamilstem.light_stem, golds[0])
+    assert built["StemResult"]
 
 
 @pytest.mark.parametrize("trace", [False, True])

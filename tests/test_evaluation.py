@@ -508,6 +508,11 @@ def test_render_csv_and_round_trip():
     assert len(lines) == 5
     assert lines[-1].startswith("avg,,,")
     assert parse_report_csv(out) == report
+    # Blank lines after the header, between rows and before the averages
+    # are skipped.
+    spaced = "\n".join(out.splitlines(keepends=True))
+    assert spaced.count("\n\n") == 4
+    assert parse_report_csv(spaced) == report
 
 
 def test_render_empty_report_is_header_only():
