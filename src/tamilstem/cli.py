@@ -31,17 +31,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 from . import __version__
-from .graphemes import _data_lines, _lines, _packaged_text
+from .graphemes import _NOT_FAST_NFC, _data_lines, _lines, _packaged_text
 from .rules import (
     RuleConflictError,
     RuleError,
     RuleSet,
-    _matches_none,
     _scan,
     builtin_rules,
     parse_rules,
 )
-from .stemmers import _ENGINE_MASKS, ENGINES, _walk
+from .stemmers import _ENGINE_MASKS, ENGINES, _walk, _walk_text
 
 EX_OK = 0
 EX_RULE_CONFLICT = 2
@@ -275,10 +274,11 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
         text = memo.get(token)
         if text is None:
             _reject_tab(token, lineno, "word")
-            # A token whose text shows that no rule matches it is its own
-            # stem, with no trace, and is written without being segmented.
-            if _matches_none(rules, token):
-                text = f"{token}\t{token}\n"
+            # An untraced token that is NFC and in `_LETTER`'s range is
+            # walked over its text, and segmented only where a step
+            # needs it; a token no rule matches costs one probe.
+            if trace is None and _NOT_FAST_NFC.search(token) is None:
+                text = f"{token}\t{_walk_text(rules, token, masks)}\n"
             else:
                 try:
                     stem = _walk(rules, token, masks, trace)

@@ -87,6 +87,24 @@ _LETTER = re.compile(
     re.DOTALL,
 )
 
+
+class _LetterCounts(dict):
+    """``_FIRST_LETTERS[k]`` matches the first *k* letters of text that
+    has at least *k*, each as `_LETTER` takes it: the lookahead takes a
+    whole letter and the backreference consumes it, where ``(?:L){k}``
+    would backtrack and read ``கா`` as ``க`` and ``ா``.  Each is
+    compiled on first use."""
+
+    def __missing__(self, k: int) -> "re.Pattern[str]":
+        self[k] = counter = re.compile(
+            f"(?:(?=({_LETTER.pattern}))\\1){{{k}}}", re.DOTALL
+        )
+        return counter
+
+
+_FIRST_LETTERS = _LetterCounts()
+
+
 def normalize(text: str) -> str:
     """Return the canonical composed (NFC) form of *text*.
 

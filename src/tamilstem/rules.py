@@ -21,9 +21,11 @@ manner of Snowball's ``among`` table: pattern letters map to their rules
 in file order, and each word-final letter maps to the lengths of the
 patterns ending in it, longest first.  A lookup reads the word's last
 letter and probes one suffix of each of those lengths, so a word whose
-final letter ends no pattern costs one dictionary miss.  `_matches_none`
-answers from a word's raw text, before it is segmented, for most words
-that no rule matches.
+final letter ends no pattern costs one dictionary miss.  The same
+entries are also filed by pattern text, with code-point lengths under
+each pattern's last two code points, so `_first_text_match` finds the
+same rule from a word's raw text, without segmenting it, for text that
+`_NOT_FAST_NFC` finds nothing in.
 """
 
 import enum
@@ -32,6 +34,7 @@ from functools import lru_cache
 
 from .graphemes import (
     _DEPENDENT_SIGNS,
+    _FIRST_LETTERS,
     _NOT_FAST_NFC,
     GraphemeWord,
     _data_lines,
@@ -121,10 +124,12 @@ class SuffixRule:
 
 
 # A suffix-index entry: (rule, its class bit, the mask of its
-# next_classes, the shortest word it applies to, and whether its
+# next_classes, the shortest word it applies to, whether its
 # replacement merges (see `_merges`), which counts one letter fewer
-# kept whatever letter comes before it).
-_Entry = tuple[SuffixRule, int, int, int, bool]
+# kept whatever letter comes before it, the fewest letters it must keep
+# before its pattern, and the replacement text where appending it to
+# text that `_NOT_FAST_NFC` finds nothing in keeps it so, or None).
+_Entry = tuple[SuffixRule, int, int, int, bool, int, str | None]
 
 
 @dataclass(frozen=True)
@@ -141,9 +146,15 @@ class RuleSet:
     _lengths: dict[str, tuple[int, ...]] = field(
         init=False, compare=False, repr=False
     )
-    # The last 3 code points of each pattern's text, or all of a shorter
-    # one (see `_matches_none`).
-    _tails: frozenset[str] = field(init=False, compare=False, repr=False)
+    # The same entries by pattern text, and last two code points -> the
+    # code-point lengths of the longer patterns ending in them, longest
+    # first, then 1, for the patterns of one code point.
+    _by_text: dict[str, tuple[_Entry, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+    _text_lengths: dict[str, tuple[int, ...]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         index: dict[tuple[str, ...], list[_Entry]] = {}
@@ -159,26 +170,44 @@ class RuleSet:
                     f"duplicate rule for class {rule.klass} pattern "
                     f"{rule.pattern.text!r}: rules {first} and {position}"
                 )
-            merges = _merges(rule.replacement.text)
+            replacement = rule.replacement.text
+            merges = _merges(replacement)
+            kept = rule.min_stem - len(rule.replacement) + merges
             index.setdefault(pattern, []).append(
                 (
                     rule,
                     _BIT[rule.klass],
                     _class_mask(rule.next_classes),
-                    rule.min_stem + len(pattern) - len(rule.replacement) + merges,
+                    kept + len(pattern),
                     merges,
+                    kept,
+                    None
+                    if merges or _NOT_FAST_NFC.search(replacement)
+                    else replacement,
                 )
             )
             lengths.setdefault(pattern[-1], set()).add(len(pattern))
+        entries = {p: tuple(es) for p, es in index.items()}
+        by_text = {"".join(p): es for p, es in entries.items()}
+        text_lengths: dict[str, set[int]] = {}
+        for text in by_text:
+            if len(text) > 1:
+                text_lengths.setdefault(text[-2:], set()).add(len(text))
         set_field = object.__setattr__  # the class is frozen
-        set_field(self, "_index", {p: tuple(es) for p, es in index.items()})
+        set_field(self, "_index", entries)
         set_field(
             self,
             "_lengths",
             {last: tuple(sorted(ks, reverse=True)) for last, ks in lengths.items()},
         )
+        set_field(self, "_by_text", by_text)
         set_field(
-            self, "_tails", frozenset(rule.pattern.text[-3:] for rule in self.rules)
+            self,
+            "_text_lengths",
+            {
+                last: (*sorted(ks, reverse=True), 1)
+                for last, ks in text_lengths.items()
+            },
         )
 
     def __len__(self) -> int:
@@ -204,6 +233,11 @@ def _defect(pattern: GraphemeWord, replacement=None, min_stem=1) -> str | None:
         return (
             f"pattern {pattern.text!r} starts with a vowel sign or pulli, "
             "so it can only match malformed text"
+        )
+    if _joins_previous(pattern.text[0]):
+        return (
+            f"pattern {pattern.text!r} starts with a combining mark or "
+            "joiner, which joins the letter before it"
         )
     if replacement is not None and len(replacement) >= len(pattern):
         return (
@@ -335,9 +369,8 @@ def candidates(
     out = []
     for k in rules._lengths.get(g[-1], ()) if g else ():
         if k <= n:
-            for rule, _bit, _next, shortest, _merge in rules._index.get(
-                g[-k:], ()
-            ):
+            entries = rules._index.get(g[-k:], ())
+            for rule, _bit, _next, shortest, _merges, _kept, _tail in entries:
                 if n >= shortest and rule.klass in allowed:
                     out.append(rule)
     return out
@@ -360,29 +393,37 @@ def _first_match(
     return None
 
 
-def _matches_none(rules: RuleSet, text: str) -> bool:
-    """Whether *text*, a raw string, is known to match no rule of *rules*
-    in any class: then both engines return it as its own stem, with an
-    empty trace.  False means only that *text* must be walked.
+def _first_text_match(rules: RuleSet, text: str, mask: int) -> _Entry | None:
+    """The entry `_first_match` finds for the letters of *text*, found
+    from *text* alone, which must be text that `_NOT_FAST_NFC` finds
+    nothing in: NFC, and split into letters by `_LETTER`.
 
-    It holds because text in which `_NOT_FAST_NFC` finds nothing is
-    already NFC and is the text of its own `word`.  A rule's pattern
-    letters end that word only if its pattern text ends *text*, and
-    then that text's last 3 code points, or all of it if shorter, equal
-    *text*'s last 3, 2 or 1: one of the probes below finds it in
-    ``_tails``.  The probes, slices and set lookups, come first, since
-    most words that a rule matches stop at the first; the search runs
-    only when no probe finds a tail.  A lone surrogate is outside the
-    range the search accepts, so such text is always walked, and fails
-    there.
+    A pattern's letters end the letters of such text exactly when its
+    text ends the text: no pattern starts with a code point that joins
+    the letter before it (see `_defect`), so the code point before the
+    pattern ends a letter.  Of two patterns that end a word, the one
+    longer in letters is longer in code points, so probing code-point
+    lengths longest first takes them in `_first_match`'s order.  The
+    letters kept before the pattern are counted only as far as the rule
+    needs.
     """
-    tails = rules._tails
-    return (
-        text[-3:] not in tails
-        and text[-2:] not in tails
-        and text[-1:] not in tails
-        and _NOT_FAST_NFC.search(text) is None
-    )
+    n = len(text)
+    by_text = rules._by_text
+    for k in rules._text_lengths.get(text[-2:], (1,)):
+        entries = by_text.get(text[-k:]) if k <= n else None
+        if entries is not None:
+            end = n - k
+            for entry in entries:
+                # Each letter is at least one code point, and any text
+                # before the pattern is at least one letter.
+                need = entry[5]
+                if (
+                    entry[1] & mask
+                    and need <= end
+                    and (need < 2 or _FIRST_LETTERS[need].match(text, 0, end))
+                ):
+                    return entry
+    return None
 
 
 def _apply(w: GraphemeWord, rule: SuffixRule, merges: bool) -> GraphemeWord:

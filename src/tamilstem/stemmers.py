@@ -11,22 +11,27 @@ and stripping stops at a terminal class.  Substitution rules (plural
 ``ங்கள்``→``ம்``, participle ``டிய``→``டு``) restore the base form
 instead of merely cutting.
 
-Every entry point is one walk, ``_walk``, over two class masks: the
-classes the first rule may take, and those allowed after each step, or
-None to follow the rule's ``next_classes``.  All leave unmatched words
-untouched, including non-Tamil input.  ``_both`` gives ``compare`` a
-word's strip and light stems, as two `GraphemeWord`s.
+Every library entry point is one walk, ``_walk``, over a word's letters
+and two class masks: the classes the first rule may take, and those
+allowed after each step, or None to follow the rule's ``next_classes``.
+All leave unmatched words untouched, including non-Tamil input.
+``_both`` gives ``compare`` a word's strip and light stems, as two
+`GraphemeWord`s.
 
 A walk builds `StemStep`s only for a caller that passes it a list, and
 only ``strip_stem`` and ``light_stem`` build a `StemResult`.  The
-single-step helpers and ``tamilstem stem`` without ``--trace`` read the
-stem alone; ``_both`` keeps strip's steps only to find where the
-engines part.
+single-step helpers read the stem alone; ``_both`` keeps strip's steps
+only to find where the engines part.
+
+``tamilstem stem`` without ``--trace`` has the one other walk,
+``_walk_text``: for a token that `_NOT_FAST_NFC` finds nothing in, it
+takes ``_walk``'s steps over the token's text, without segmenting it,
+and hands the rest to ``_walk`` at a step that must re-segment.
 """
 
 from __future__ import annotations
 
-from .graphemes import GraphemeWord, _as_word, _record
+from .graphemes import GraphemeWord, _as_word, _record, word
 from .rules import (
     ALL_CLASSES,
     RuleSet,
@@ -35,6 +40,7 @@ from .rules import (
     _apply,
     _class_mask,
     _first_match,
+    _first_text_match,
     builtin_rules,
 )
 
@@ -112,7 +118,7 @@ def _walk(
     first, then = masks
     entry = _first_match(rules, w.graphemes, first)
     while entry is not None:
-        rule, _bit, next_mask, _shortest, merges = entry
+        rule, _bit, next_mask, _shortest, merges, _kept, _tail = entry
         after = _apply(w, rule, merges)
         if steps is not None:
             steps.append(StemStep(rule, w, after))
@@ -120,6 +126,31 @@ def _walk(
         allowed = next_mask if then is None else then
         entry = _first_match(rules, w.graphemes, allowed) if allowed else None
     return w
+
+
+def _walk_text(
+    rules: RuleSet, text: str, masks: tuple[int, int | None]
+) -> str:
+    """The text of ``_walk(rules, text, masks)``, walked over *text*
+    itself, which `_NOT_FAST_NFC` must find nothing in.
+
+    Each step cuts the pattern's text and appends the replacement's,
+    which keeps the text NFC and in `_LETTER`'s range, so the next
+    probe reads it as it is.  At the first step whose replacement
+    merges or holds other text (the entry's last field is None),
+    ``_walk`` takes over from the letters of the text so far, starting
+    with this step's probe.
+    """
+    mask, then = masks
+    entry = _first_text_match(rules, text, mask)
+    while entry is not None:
+        rule, _bit, next_mask, _shortest, _merges, _kept, tail = entry
+        if tail is None:
+            return _walk(rules, word(text), (mask, then)).text
+        text = text[: -len(rule.pattern.text)] + tail
+        mask = next_mask if then is None else then
+        entry = _first_text_match(rules, text, mask) if mask else None
+    return text
 
 
 def strip_stem(

@@ -14,9 +14,9 @@ fails loudly if its property does not hold within the stated budget:
    against brute-force search over an exhaustive bounded universe
 6. the one walk `compare` runs for both engines gives each engine's own
    result over that universe and the fuzz corpus
-7. a word that the text-only check says no rule matches is its own
-   stem with an empty trace under both engines, for five rule sets,
-   over that universe, the fuzz corpus and the bundled gold surfaces
+7. the walk over a word's text gives the letter walk's stem under
+   every pair of class masks, for three rule sets, over that universe,
+   the fuzz corpus and the bundled gold surfaces
 8. `stem` without `--trace` writes exactly the non-`#` lines of
    `stem --trace`, and those are each engine's stems, for three rule
    sets over the bundled gold surfaces and the fuzz corpus
@@ -40,8 +40,18 @@ from hypothesis import given, settings, strategies as st
 
 import tamilstem as ts
 from tamilstem import cli
-from tamilstem.rules import _matches_none
-from tamilstem.stemmers import _both
+from tamilstem.graphemes import _NOT_FAST_NFC
+from tamilstem.rules import _merges
+from tamilstem.stemmers import (
+    _LIGHT,
+    _PARTICIPLE,
+    _PLURAL,
+    _STRIP,
+    _TENSE_LAYER,
+    _both,
+    _walk,
+    _walk_text,
+)
 
 FUZZ_SEED = 987654321
 
@@ -401,53 +411,6 @@ def test_one_walk_for_both_engines_matches_two(capsys, fuzz_corpus):
     )
 
 
-# Besides the built-in rules and the oracle subset: Latin patterns, and
-# patterns of one and two code points, whose tails are shorter than 3.
-_LATIN_RULES = (
-    "Case\tஉக்கு\t\t1\tPlural\n"
-    "Plural\tங்கள்\tம்\t1\t\n"
-    "Case\ting\t\t1\tPlural\n"
-    "Plural\ts\t\t1\t\n"
-)
-_SHORT_RULES = "Case\tஐ\t\t1\t\nVocative\tஏ\t\t1\t\nPlural\tள்\t\t1\t\n"
-
-
-def test_text_only_no_match_check_is_sound(capsys, fuzz_corpus):
-    rule_sets = {
-        "built-in": ts.builtin_rules(),
-        "oracle subset": _oracle_rules(),
-        "Latin": ts.parse_rules(_LATIN_RULES),
-        "empty": ts.parse_rules(""),
-        "short patterns": ts.parse_rules(_SHORT_RULES),
-    }
-    texts = sorted(
-        {w.text for w in _oracle_universe(_oracle_rules()) + fuzz_corpus}
-        | {e.surface.text for e in ts.bundled_gold()}
-    )
-    problems = []
-    caught = {}
-    for name, rules in rule_sets.items():
-        caught[name] = 0
-        for text in texts:
-            if not _matches_none(rules, text):
-                continue
-            caught[name] += 1
-            for engine in (ts.strip_stem, ts.light_stem):
-                result = engine(text, rules)
-                if result.trace or result.stem.text != text:
-                    problems.append(f"{name}: {engine.__name__}({text!r})")
-        if not caught[name]:
-            problems.append(f"{name}: the check caught no word")
-    _report(
-        capsys,
-        not problems,
-        f"no-match check sound over {len(texts)} words; caught "
-        + ", ".join(f"{n} {name}" for name, n in caught.items())
-        if not problems
-        else f"{len(problems)} violations, first: {problems[:3]}",
-    )
-
-
 # A user rule set with a merging replacement: `லம்` gives way to the
 # vowel sign `ா`, which joins the letter before it (`rules._merges`).
 _MERGING_RULES = (
@@ -456,6 +419,52 @@ _MERGING_RULES = (
     "Plural\tங்கள்\tம்\t1\t\n"
 )
 _MERGING_WORDS = ["படலம்", "படலங்கள்", "படலம்உக்கு", "கெலம்", "மரங்கள்உக்கு"]
+
+
+def test_text_only_no_match_check_is_sound(capsys, fuzz_corpus):
+    """`stem`'s text walk, whose first probe is its "no rule matches"
+    check, gives `_walk`'s stem wherever `_NOT_FAST_NFC` finds nothing."""
+    rule_sets = {
+        "built-in": ts.builtin_rules(),
+        "oracle subset": _oracle_rules(),
+        "merging": ts.parse_rules(_MERGING_RULES),
+    }
+    texts = sorted(
+        {w.text for w in _oracle_universe(_oracle_rules()) + fuzz_corpus}
+        | {e.surface.text for e in ts.bundled_gold()}
+        | set(_MERGING_WORDS)
+    )
+    texts = [t for t in texts if _NOT_FAST_NFC.search(t) is None]
+    masks = (_STRIP, _LIGHT, _PLURAL, _PARTICIPLE, _TENSE_LAYER)
+    problems = []
+    stemmed = dict.fromkeys(rule_sets, 0)
+    handed_over = 0
+    for name, rules in rule_sets.items():
+        for text in texts:
+            for pair in masks:
+                steps = []
+                expected = _walk(rules, text, pair, steps).text
+                if _walk_text(rules, text, pair) != expected:
+                    problems.append(f"{name}: {pair} {text!r}")
+                stemmed[name] += bool(steps)
+                handed_over += any(
+                    _merges(step.rule.replacement.text) for step in steps
+                )
+    # Every rule set stems some words, and the merging rule hands over.
+    problems += [f"{name}: no word stemmed" for name, n in stemmed.items() if not n]
+    if not handed_over:
+        problems.append("merging: the text walk never handed over")
+    cases = len(texts) * len(masks) * len(rule_sets)
+    _report(
+        capsys,
+        not problems,
+        f"text walk = letter walk in {cases} cases ({len(texts)} words x "
+        f"{len(masks)} mask pairs x {len(rule_sets)} rule sets); stemmed "
+        + ", ".join(f"{n} {name}" for name, n in stemmed.items())
+        + f"; {handed_over} hand-overs"
+        if not problems
+        else f"{len(problems)} violations, first: {problems[:3]}",
+    )
 
 
 @pytest.fixture(scope="module")

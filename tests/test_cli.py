@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import tamilstem
-from tamilstem import cli, stemmers
+from tamilstem import cli, graphemes, rules as rules_module, stemmers
 from tamilstem.cli import (
     EX_DATA,
     EX_NOINPUT,
@@ -619,15 +619,16 @@ def test_stem_matches_a_line_by_line_oracle(tmp_path, seed, algo, trace, custom)
 
 
 def _count_walks(monkeypatch):
-    """Count, per token, the walks ``stem`` runs (its one call site)."""
+    """Count the walks ``stem`` runs, per (token, walk): ``_walk`` over
+    letters or ``_walk_text`` over text, its two call sites."""
     calls = collections.Counter()
-    walk = cli._walk
+    for name in ("_walk", "_walk_text"):
 
-    def counting(rules, token, *args):
-        calls[token] += 1
-        return walk(rules, token, *args)
+        def counting(rules, token, *args, name=name, walk=getattr(cli, name)):
+            calls[token, name] += 1
+            return walk(rules, token, *args)
 
-    monkeypatch.setattr(cli, "_walk", counting)
+        monkeypatch.setattr(cli, name, counting)
     return calls
 
 
@@ -641,6 +642,8 @@ def test_stem_stems_each_distinct_token_once(monkeypatch):
         code, out, _ = run_cli(argv, text)
         assert code == EX_OK
         assert calls and set(calls.values()) == {1}
+        # by exactly one of the two walks
+        assert len({token for token, _ in calls}) == len(calls)
 
         calls.clear()
         monkeypatch.setattr(cli, "_STEM_MEMO_SIZE", 2)
@@ -650,18 +653,56 @@ def test_stem_stems_each_distinct_token_once(monkeypatch):
 
 
 @pytest.mark.parametrize("algo", sorted(ENGINES))
-def test_stem_walks_no_token_whose_text_shows_no_rule_matches(
-    monkeypatch, algo
-):
+def test_stem_walks_each_token_with_one_walk(monkeypatch, algo):
+    tokens = ("கணினி", "computer", "மரங்கள்")
     text = "கணினி\ncomputer\nமரங்கள்\nகணினி\nமரங்கள்\n"
     calls = _count_walks(monkeypatch)
-    for trace in (False, True):
+    for trace, walk in ((False, "_walk_text"), (True, "_walk")):
         calls.clear()
         expected = _stem_oracle(algo, trace, builtin_rules(), text)
         argv = ["stem", "--algo", algo] + (["--trace"] if trace else [])
         code, out, err = run_cli(argv, text)
         assert (code, out, err) == (EX_OK, expected, "")
-        assert calls == {"மரங்கள்": 1}
+        assert calls == {(token, walk): 1 for token in tokens}
+
+
+def test_plain_stem_segments_no_fast_token(monkeypatch):
+    # NFC tokens in the fast range, which rules match and do not match;
+    # then a non-NFC spelling (ெ + ா is ொ) and a mark outside that range.
+    fast = ("மரங்கள்உக்கு", "படித்தேன்", "கணினி", "computer")
+    slow = ("மரங்கெ\u0bbeள்", "cafe\u0301s")
+    texts = {tokens: "".join(t + "\n" for t in tokens) for tokens in (fast, slow)}
+    expected = {
+        (tokens, trace): _stem_oracle("light", trace, builtin_rules(), text)
+        for tokens, text in texts.items()
+        for trace in (False, True)
+    }
+    calls = _count_walks(monkeypatch)
+    segmented = collections.Counter()
+    for module, name in (
+        (graphemes, "word"),
+        (graphemes, "segment"),
+        (stemmers, "word"),
+        (rules_module, "word"),
+    ):
+
+        def counting(text, name=name, original=getattr(module, name)):
+            segmented[name] += 1
+            return original(text)
+
+        monkeypatch.setattr(module, name, counting)
+    for tokens, trace, walk in (
+        (fast, False, "_walk_text"),
+        (fast, True, "_walk"),
+        (slow, False, "_walk"),
+    ):
+        calls.clear()
+        segmented.clear()
+        argv = ["stem"] + (["--trace"] if trace else [])
+        code, out, err = run_cli(argv, texts[tokens])
+        assert (code, out, err) == (EX_OK, expected[tokens, trace], "")
+        assert calls == {(token, walk): 1 for token in tokens}
+        assert bool(segmented) == (walk == "_walk")
 
 
 def _count_trace_objects(monkeypatch):

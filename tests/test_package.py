@@ -61,6 +61,19 @@ def test_stemming_loads_only_the_engine():
     assert out == "[]\n"
 
 
+def test_the_library_engines_compile_no_letter_count():
+    # Only `stem`'s walk over text counts letters, with patterns that
+    # are compiled on first use.
+    out = _fresh(
+        "import tamilstem\n"
+        "from tamilstem.graphemes import _FIRST_LETTERS\n"
+        "for engine in (tamilstem.light_stem, tamilstem.strip_stem):\n"
+        "    assert engine('மரங்கள்உக்கு').stem.text == 'மரம்'\n"
+        "print(len(_FIRST_LETTERS))"
+    )
+    assert out == "0\n"
+
+
 def test_stem_command_loads_only_the_engine():
     out = _fresh(
         "import io\n"

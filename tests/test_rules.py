@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import tamilstem
 from tamilstem.cli import EX_OK, EX_RULE_CONFLICT, main
 from tamilstem.evaluation import GoldError, load_gold
-from tamilstem.graphemes import ends_with, normalize, segment, word
+from tamilstem.graphemes import _NOT_FAST_NFC, ends_with, normalize, segment, word
 from tamilstem.paradigm import load_roots
 from tamilstem.rules import (
     ALL_CLASSES,
@@ -21,7 +21,6 @@ from tamilstem.rules import (
     RuleSet,
     SuffixClass,
     SuffixRule,
-    _matches_none,
     _merges,
     apply_rule,
     builtin_rules,
@@ -31,7 +30,14 @@ from tamilstem.rules import (
     validate_rules,
 )
 from tamilstem.stemmers import (
+    _LIGHT,
+    _PARTICIPLE,
+    _PLURAL,
+    _STRIP,
+    _TENSE_LAYER,
     _both,
+    _walk,
+    _walk_text,
     adjectival_to_verb,
     light_stem,
     strip_plural,
@@ -412,6 +418,37 @@ def test_pattern_starting_with_a_dependent_sign_is_rejected(pattern):
     assert validate_rules(text) == [str(exc.value)]
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    ["\u0301க", "\u200dக", "\u0b82க"],
+    ids=["acute", "zero-width-joiner", "anusvara"],
+)
+def test_pattern_starting_with_a_joining_mark_is_rejected(tmp_path, pattern):
+    # Its text ends x + pattern, whose letters it does not end: the mark
+    # joins x there, but starts a letter of its own in the pattern.
+    assert not ends_with(word("x" + pattern), word(pattern))
+    message = (
+        f"line 2: pattern {pattern!r} starts with a combining mark or "
+        "joiner, which joins the letter before it"
+    )
+    text = f"# header\nCase\t{pattern}\t\t1\t\n"
+    with pytest.raises(RuleError) as exc:
+        parse_rules(text)
+    assert (exc.value.line, str(exc.value)) == (2, message)
+    assert validate_rules(text) == [message]
+    path = tmp_path / "rules.tsv"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = main(["rules-validate", str(path)], io.StringIO(), out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (65, message + "\n", "")
+    rule = SuffixRule(
+        SuffixClass.CASE, word(pattern), word(""), 1, frozenset(), 0
+    )
+    with pytest.raises(RuleError) as built:
+        RuleSet((rule,))
+    assert str(built.value) == message.replace("line 2", "rule 0")
+
+
 def test_replacement_may_start_with_a_dependent_sign():
     (rule,) = parse_rules("Case\tடியை\tி\t1\t\n").rules
     assert rule.replacement.text == "ி"
@@ -543,8 +580,14 @@ def test_only_a_newline_ends_a_line(tmp_path, char, place):
 # may start with a vowel sign, pulli, AU length mark, combining mark or
 # zero-width joiner, which join the letter before them.
 # கெ composes with a replacement ா or ௗ into one letter, கொ or கௌ.
+# x + acute holds a mark outside the text walk's range, so the text walk
+# hands over to the letter walk where it applies.
 _LETTERS = ("க", "கு", "கெ", "ம்", "ள்", "ஐ", "டி", "a")
-_REPLACEMENTS = ("", "", "ம்", "க", "ி", "்", "ா", "ௗ", "\u0301", "\u200d")
+_REPLACEMENTS = (
+    "", "", "ம்", "க", "ி", "்", "ா", "ௗ", "\u0301", "\u200d", "x\u0301",
+)
+# The class masks of every walk: both engines and the single-step helpers.
+_MASKS = (_STRIP, _LIGHT, _PLURAL, _PARTICIPLE, _TENSE_LAYER)
 _CLASSES = ("Plural", "Case", "Tense")
 _index_rule = st.tuples(
     st.sampled_from(_CLASSES),
@@ -597,6 +640,9 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
                 rs, w, ALL_CLASSES, chain
             )
         assert _both(rs, w) == (strip_stem(w, rs).stem, light_stem(w, rs).stem)
+        assert _NOT_FAST_NFC.search(w.text) is None
+        for masks in _MASKS:
+            assert _walk_text(rs, w.text, masks) == _walk(rs, w, masks).text
         for helper, classes in (
             (strip_plural, {SuffixClass.PLURAL}),
             (adjectival_to_verb, {SuffixClass.ADJECTIVAL_PARTICIPLE}),
@@ -613,15 +659,19 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
             assert helper(w, rs) == stem
 
 
-# Rule sets for the no-match check besides the built-in one: no rules,
-# patterns shorter than 3 code points, and Latin patterns.
-_NO_MATCH_RULES = (
+# Rule sets for the text walk besides the built-in one: no rules,
+# patterns of one and two code points, Latin patterns, and a merging
+# replacement (`லம்` gives way to the vowel sign `ா`), where the text
+# walk hands over to the letter walk.
+_TEXT_WALK_RULES = (
     "",
     "Case\tஐ\t\t1\t\nVocative\tஏ\t\t1\t\nPlural\tள்\t\t1\t\n",
     "Case\tஉக்கு\t\t1\tPlural\nPlural\tங்கள்\tம்\t1\t\n"
     "Case\ting\t\t1\tPlural\nPlural\ts\t\t1\t\n",
+    "Case\tலம்\tா\t2\tPlural\nCase\tஉக்கு\t\t1\tPlural\n"
+    "Plural\tங்கள்\tம்\t1\t\n",
 )
-# Text the check must handle: any Tamil-block code point, the zero-width
+# Text the walks must handle: any Tamil-block code point, the zero-width
 # joiners, the four code point pairs NFC joins in the Tamil block, Latin
 # letters, pattern texts, so that some tokens end in a pattern, and lone
 # surrogates (the residue of an undecodable byte).
@@ -633,34 +683,80 @@ _piece = st.one_of(
          "\u0bc7\u0bbe"]
     ),
     st.sampled_from("abginsz"),
-    st.sampled_from(sorted({r.pattern.text for r in builtin_rules().rules})),
+    st.sampled_from(
+        sorted({r.pattern.text for r in builtin_rules().rules} | {"லம்"})
+    ),
 )
 
 
 @settings(max_examples=300, derandomize=True)
 @given(
-    st.sampled_from([None, *_NO_MATCH_RULES]),
-    st.lists(st.one_of(_piece, _LONE_SURROGATES), max_size=6).map("".join),
+    st.sampled_from([None, *_TEXT_WALK_RULES]),
+    st.lists(_piece, max_size=6).map("".join),
 )
 def test_no_match_check_is_sound(rules_text, text):
+    """Wherever `_NOT_FAST_NFC` finds nothing, the text walk, whose
+    first probe is ``stem``'s "no rule matches" check, gives the letter
+    walk's stem under every pair of class masks."""
     rs = builtin_rules() if rules_text is None else parse_rules(rules_text)
-    if not _matches_none(rs, text):
+    if _NOT_FAST_NFC.search(text) is not None:
         return
-    for engine in (strip_stem, light_stem):
-        result = engine(text, rs)
-        assert result.trace == ()
-        assert result.stem.text == text
+    for masks in _MASKS:
+        assert _walk_text(rs, text, masks) == _walk(rs, text, masks).text
 
 
 @settings(max_examples=100, derandomize=True)
 @given(
-    st.sampled_from([None, *_NO_MATCH_RULES]),
+    st.sampled_from([None, *_TEXT_WALK_RULES]),
     st.tuples(
         st.lists(_piece, max_size=3).map("".join),
         _LONE_SURROGATES,
         st.lists(_piece, max_size=3).map("".join),
     ).map("".join),
 )
-def test_no_match_check_passes_no_lone_surrogate(rules_text, text):
-    rs = builtin_rules() if rules_text is None else parse_rules(rules_text)
-    assert not _matches_none(rs, text)
+def test_no_match_check_passes_no_lone_surrogate(
+    tmp_path_factory, rules_text, text
+):
+    """A token with a lone surrogate is outside the text walk's range:
+    ``stem`` walks its letters, which fails, and exits 65 naming its
+    line."""
+    assert _NOT_FAST_NFC.search(text) is not None
+    argv = ["stem"]
+    if rules_text is not None:
+        path = tmp_path_factory.mktemp("rules") / "rules.tsv"
+        path.write_text(rules_text, encoding="utf-8")
+        argv += ["--rules", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv, io.StringIO(f"மரம்\n{text}\n"), out, err)
+    assert code == 65
+    assert out.getvalue() == "மரம்\tமரம்\n"
+    assert err.getvalue().startswith("tamilstem: error: <stdin>: line 2: ")
+
+
+def test_the_text_walk_keeps_whole_letters(tmp_path):
+    # கா is one letter, so ஏ would leave one of the two asked for.  A
+    # count that backtracks into the letter would read it as க and ா.
+    text = "Vocative\tஏ\t\t2\t\n"
+    rs = parse_rules(text)
+    for masks in (_STRIP, _LIGHT):
+        assert _walk_text(rs, "காஏ", masks) == "காஏ"
+        assert _walk_text(rs, "அகாஏ", masks) == "அகா"
+    path = tmp_path / "rules.tsv"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    stdin = io.StringIO("காஏ\nஅகாஏ\n")
+    assert main(["stem", "--rules", str(path)], stdin, out, io.StringIO()) == EX_OK
+    assert out.getvalue() == "காஏ\tகாஏ\nஅகாஏ\tஅகா\n"
+
+
+def test_the_text_walk_probes_no_pattern_longer_than_the_word():
+    # ககடம ends in the same two code points as the word கடம, and the
+    # slice of its length is the whole word.  Read there, the second
+    # கடம rule, which keeps -1 letters, would pass where the first,
+    # which keeps 0, does not, and would be taken first.
+    rs = parse_rules(
+        "Case\tகடம\tக\t1\t\nPlural\tகடம\tகக\t1\t\nTense\tககடம\t\t1\t\n"
+    )
+    for masks in (_STRIP, _LIGHT):
+        assert _walk(rs, "கடம", masks).text == "க"
+        assert _walk_text(rs, "கடம", masks) == "க"
