@@ -165,7 +165,10 @@ def _record(cls):
 class GraphemeWord:
     """A word as an ordered sequence of orthographic letters.
 
-    Invariant: ``"".join(graphemes) == text`` and *text* is NFC.
+    Invariant: ``"".join(graphemes) == text`` and *text* is NFC.  The
+    engines read a word's *text*, last letter and letter count, so its
+    letters must be those `segment` gives, as every word from `word`,
+    `segment`, ``rules.apply_rule`` and the paradigm generator has.
     """
 
     graphemes: tuple[str, ...]

@@ -17,18 +17,18 @@ strictly shorter than their patterns so every application shortens the
 word and stemming always terminates.
 
 Each ``RuleSet`` compiles its rules once into a suffix index, in the
-manner of Snowball's ``among`` table: pattern letters map to their rules
-in file order, and each word-final letter maps to the lengths of the
-patterns ending in it, longest first.  A lookup reads the word's last
-letter and probes one suffix of each of those lengths, so a word whose
-final letter ends no pattern costs one dictionary miss.  The same
-entries are also filed by pattern text, with code-point lengths under
-each pattern's last two code points, so `_first_text_match` finds the
-same rule from a word's raw text, without segmenting it, for text that
-`_NOT_FAST_NFC` finds nothing in.
+manner of Snowball's ``among`` table: one table maps each pattern's text
+to its rules in file order.  It has two keys.  A word's last letter
+gives the code-point lengths of the patterns ending in it, longest
+first, so a lookup probes one suffix of the word's text per length,
+and a word whose final letter ends no pattern costs one dictionary
+miss.  A text's last two code points give the same lengths, so
+`_first_text_match` finds the same rule from a word's raw text,
+without segmenting it, for text that `_NOT_FAST_NFC` finds nothing in.
 """
 
 import enum
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -124,12 +124,10 @@ class SuffixRule:
 
 
 # A suffix-index entry: (rule, its class bit, the mask of its
-# next_classes, the shortest word it applies to, whether its
-# replacement merges (see `_merges`), which counts one letter fewer
-# kept whatever letter comes before it, the fewest letters it must keep
-# before its pattern, and the replacement text where appending it to
-# text that `_NOT_FAST_NFC` finds nothing in keeps it so, or None).
-_Entry = tuple[SuffixRule, int, int, int, bool, int, str | None]
+# next_classes, the shortest word it applies to, the fewest letters it
+# must keep before its pattern, and its replacement text, or None where
+# a step must re-segment (see `_resegments`)).
+_Entry = tuple[SuffixRule, int, int, int, int, str | None]
 
 
 @dataclass(frozen=True)
@@ -137,19 +135,15 @@ class RuleSet:
     """Immutable rule collection, checked and indexed when built."""
 
     rules: tuple[SuffixRule, ...]
-    # The suffix index, compiled from *rules*: pattern letters -> entries
-    # in file order, and final letter -> the pattern lengths ending in
-    # it, longest first.
-    _index: dict[tuple[str, ...], tuple[_Entry, ...]] = field(
+    # The suffix index, compiled from *rules*: pattern text -> entries
+    # in file order.  Its keys: final letter -> the code-point lengths
+    # of the patterns ending in it, longest first; and last two code
+    # points -> those of the longer patterns ending in them, longest
+    # first, then 1, for the patterns of one code point.
+    _index: dict[str, tuple[_Entry, ...]] = field(
         init=False, compare=False, repr=False
     )
     _lengths: dict[str, tuple[int, ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    # The same entries by pattern text, and last two code points -> the
-    # code-point lengths of the longer patterns ending in them, longest
-    # first, then 1, for the patterns of one code point.
-    _by_text: dict[str, tuple[_Entry, ...]] = field(
         init=False, compare=False, repr=False
     )
     _text_lengths: dict[str, tuple[int, ...]] = field(
@@ -157,50 +151,42 @@ class RuleSet:
     )
 
     def __post_init__(self) -> None:
-        index: dict[tuple[str, ...], list[_Entry]] = {}
+        index: dict[str, list[_Entry]] = {}
         lengths: dict[str, set[int]] = {}
+        text_lengths: dict[str, set[int]] = {}
         seen: dict[tuple[SuffixClass, str], int] = {}
         for position, rule in enumerate(self.rules):
-            pattern = rule.pattern.graphemes
+            pattern = rule.pattern.text
             if defect := _defect(rule.pattern, rule.replacement, rule.min_stem):
                 raise RuleError(f"rule {position}: {defect}")
-            first = seen.setdefault((rule.klass, rule.pattern.text), position)
+            first = seen.setdefault((rule.klass, pattern), position)
             if first != position:
                 raise RuleError(
                     f"duplicate rule for class {rule.klass} pattern "
-                    f"{rule.pattern.text!r}: rules {first} and {position}"
+                    f"{pattern!r}: rules {first} and {position}"
                 )
             replacement = rule.replacement.text
-            merges = _merges(replacement)
-            kept = rule.min_stem - len(rule.replacement) + merges
+            kept = rule.min_stem - len(rule.replacement) + _merges(replacement)
             index.setdefault(pattern, []).append(
                 (
                     rule,
                     _BIT[rule.klass],
                     _class_mask(rule.next_classes),
-                    kept + len(pattern),
-                    merges,
+                    kept + len(rule.pattern),
                     kept,
-                    None
-                    if merges or _NOT_FAST_NFC.search(replacement)
-                    else replacement,
+                    None if _resegments(replacement) else replacement,
                 )
             )
-            lengths.setdefault(pattern[-1], set()).add(len(pattern))
-        entries = {p: tuple(es) for p, es in index.items()}
-        by_text = {"".join(p): es for p, es in entries.items()}
-        text_lengths: dict[str, set[int]] = {}
-        for text in by_text:
-            if len(text) > 1:
-                text_lengths.setdefault(text[-2:], set()).add(len(text))
+            lengths.setdefault(rule.pattern.graphemes[-1], set()).add(len(pattern))
+            if len(pattern) > 1:
+                text_lengths.setdefault(pattern[-2:], set()).add(len(pattern))
         set_field = object.__setattr__  # the class is frozen
-        set_field(self, "_index", entries)
+        set_field(self, "_index", {p: tuple(es) for p, es in index.items()})
         set_field(
             self,
             "_lengths",
             {last: tuple(sorted(ks, reverse=True)) for last, ks in lengths.items()},
         )
-        set_field(self, "_by_text", by_text)
         set_field(
             self,
             "_text_lengths",
@@ -214,14 +200,26 @@ class RuleSet:
         return len(self.rules)
 
 
-def _merges(replacement: str) -> bool:
-    """Whether *replacement* starts with a combining mark or joiner, as
-    every dependent sign does.  This depends on the rule alone: the
-    index counts such a replacement as joining the letter before it,
-    which errs toward keeping more where that letter does not take it,
-    such as an independent vowel, or a non-Tamil mark after a Tamil
-    letter."""
-    return bool(replacement) and _joins_previous(replacement[0])
+_HANGUL_JOINS = re.compile("[\u1161-\u1175]?[\u11a8-\u11c2]?")  # vowel, final
+
+
+def _merges(replacement: str) -> int:
+    """How many letters of *replacement* may join the letter before it,
+    counted from the rule alone: one where it starts with a combining
+    mark or joiner, as every dependent sign does, else its leading
+    Hangul vowel and final jamo, which NFC composes with an initial or
+    syllable (ᆨ after 가 is 각), as it does no other non-mark.  This errs
+    toward keeping more where the letter before does not take them."""
+    if replacement and _joins_previous(replacement[0]):
+        return 1
+    return _HANGUL_JOINS.match(replacement).end()
+
+
+def _resegments(replacement: str) -> bool:
+    """Whether a step appending *replacement* goes through `word`: where
+    it merges, or holds text `_NOT_FAST_NFC` finds something in.  Any
+    other keeps NFC text NFC and adds its own letters."""
+    return _merges(replacement) > 0 or _NOT_FAST_NFC.search(replacement) is not None
 
 
 def _defect(pattern: GraphemeWord, replacement=None, min_stem=1) -> str | None:
@@ -364,30 +362,31 @@ def candidates(
     suffix of the word, and applying it would leave at least min_stem
     letters.
     """
-    g = word.graphemes
-    n = len(g)
+    g, text = word.graphemes, word.text
     out = []
     for k in rules._lengths.get(g[-1], ()) if g else ():
-        if k <= n:
-            entries = rules._index.get(g[-k:], ())
-            for rule, _bit, _next, shortest, _merges, _kept, _tail in entries:
-                if n >= shortest and rule.klass in allowed:
+        if k <= len(text):
+            entries = rules._index.get(text[-k:], ())
+            for rule, _bit, _next, shortest, _kept, _tail in entries:
+                if len(g) >= shortest and rule.klass in allowed:
                     out.append(rule)
     return out
 
 
-def _first_match(
-    rules: RuleSet, g: tuple[str, ...], mask: int
-) -> _Entry | None:
+def _first_match(rules: RuleSet, w: GraphemeWord, mask: int) -> _Entry | None:
     """The index entry of the first applicable rule whose class bit is
-    in *mask*: the rule ``candidates`` would list first."""
+    in *mask*: the rule ``candidates`` would list first.  No pattern
+    starts with a code point that joins the letter before it (see
+    `_defect`), so both probe *w*'s text for the patterns that end its
+    letters, the longer in letters (and in code points) first."""
+    g, text = w.graphemes, w.text
     if not g:
         return None
-    n = len(g)
+    n, m = len(g), len(text)
     index = rules._index
     for k in rules._lengths.get(g[-1], ()):
-        if k <= n:
-            for entry in index.get(g[-k:], ()):
+        if k <= m:
+            for entry in index.get(text[-k:], ()):
                 if entry[1] & mask and n >= entry[3]:
                     return entry
     return None
@@ -398,25 +397,20 @@ def _first_text_match(rules: RuleSet, text: str, mask: int) -> _Entry | None:
     from *text* alone, which must be text that `_NOT_FAST_NFC` finds
     nothing in: NFC, and split into letters by `_LETTER`.
 
-    A pattern's letters end the letters of such text exactly when its
-    text ends the text: no pattern starts with a code point that joins
-    the letter before it (see `_defect`), so the code point before the
-    pattern ends a letter.  Of two patterns that end a word, the one
-    longer in letters is longer in code points, so probing code-point
-    lengths longest first takes them in `_first_match`'s order.  The
-    letters kept before the pattern are counted only as far as the rule
-    needs.
+    It probes the same code-point lengths, read under *text*'s last two
+    code points instead of its last letter, and counts the letters kept
+    before the pattern only as far as the rule needs.
     """
     n = len(text)
-    by_text = rules._by_text
+    index = rules._index
     for k in rules._text_lengths.get(text[-2:], (1,)):
-        entries = by_text.get(text[-k:]) if k <= n else None
+        entries = index.get(text[-k:]) if k <= n else None
         if entries is not None:
             end = n - k
             for entry in entries:
                 # Each letter is at least one code point, and any text
                 # before the pattern is at least one letter.
-                need = entry[5]
+                need = entry[4]
                 if (
                     entry[1] & mask
                     and need <= end
@@ -426,11 +420,11 @@ def _first_text_match(rules: RuleSet, text: str, mask: int) -> _Entry | None:
     return None
 
 
-def _apply(w: GraphemeWord, rule: SuffixRule, merges: bool) -> GraphemeWord:
-    """*w* with *rule*'s pattern replaced; *merges* as in `_merges`."""
+def _apply(w: GraphemeWord, rule: SuffixRule, resegments: bool) -> GraphemeWord:
+    """*w* with *rule*'s pattern replaced, through `word` if *resegments*."""
     pattern, replacement = rule.pattern, rule.replacement
     kept = w.text[: -len(pattern.text)]  # patterns are never empty
-    if merges:  # the sign joins a kept letter and may compose with it
+    if resegments:
         return word(kept + replacement.text)
     return GraphemeWord(
         w.graphemes[: -len(pattern.graphemes)] + replacement.graphemes,
@@ -442,9 +436,9 @@ def apply_rule(word: GraphemeWord, rule: SuffixRule) -> GraphemeWord:
     """Strip the matched pattern and append the replacement.
 
     *rule* must match the end of *word*, as every rule ``candidates``
-    returns does.  The result is normalized and re-segmented only when
-    the replacement starts with a sign that joins the letter before it (a
-    vowel sign, pulli, combining mark or zero-width joiner), so the
-    NFC and letter-sequence invariants hold for such user rules too.
+    returns does.  The result is normalized and re-segmented only where
+    the replacement may join the kept text (a vowel sign, or ᆨ after 가;
+    see `_resegments`), so the NFC and letter-sequence invariants hold
+    for such user rules too.
     """
-    return _apply(word, rule, _merges(rule.replacement.text))
+    return _apply(word, rule, _resegments(rule.replacement.text))

@@ -116,15 +116,15 @@ def _walk(
         rules = builtin_rules()
     w = _as_word(text)
     first, then = masks
-    entry = _first_match(rules, w.graphemes, first)
+    entry = _first_match(rules, w, first)
     while entry is not None:
-        rule, _bit, next_mask, _shortest, merges, _kept, _tail = entry
-        after = _apply(w, rule, merges)
+        rule, _bit, next_mask, _shortest, _kept, tail = entry
+        after = _apply(w, rule, tail is None)
         if steps is not None:
             steps.append(StemStep(rule, w, after))
         w = after
         allowed = next_mask if then is None else then
-        entry = _first_match(rules, w.graphemes, allowed) if allowed else None
+        entry = _first_match(rules, w, allowed) if allowed else None
     return w
 
 
@@ -136,15 +136,15 @@ def _walk_text(
 
     Each step cuts the pattern's text and appends the replacement's,
     which keeps the text NFC and in `_LETTER`'s range, so the next
-    probe reads it as it is.  At the first step whose replacement
-    merges or holds other text (the entry's last field is None),
+    probe reads it as it is.  At the first step that must re-segment
+    (see `rules._resegments`; the entry's replacement text is None),
     ``_walk`` takes over from the letters of the text so far, starting
     with this step's probe.
     """
     mask, then = masks
     entry = _first_text_match(rules, text, mask)
     while entry is not None:
-        rule, _bit, next_mask, _shortest, _merges, _kept, tail = entry
+        rule, _bit, next_mask, _shortest, _kept, tail = entry
         if tail is None:
             return _walk(rules, word(text), (mask, then)).text
         text = text[: -len(rule.pattern.text)] + tail

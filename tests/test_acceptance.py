@@ -41,7 +41,7 @@ from hypothesis import given, settings, strategies as st
 import tamilstem as ts
 from tamilstem import cli
 from tamilstem.graphemes import _NOT_FAST_NFC
-from tamilstem.rules import _merges
+from tamilstem.rules import _resegments
 from tamilstem.stemmers import (
     _LIGHT,
     _PARTICIPLE,
@@ -448,7 +448,7 @@ def test_text_only_no_match_check_is_sound(capsys, fuzz_corpus):
                     problems.append(f"{name}: {pair} {text!r}")
                 stemmed[name] += bool(steps)
                 handed_over += any(
-                    _merges(step.rule.replacement.text) for step in steps
+                    _resegments(step.rule.replacement.text) for step in steps
                 )
     # Every rule set stems some words, and the merging rule hands over.
     problems += [f"{name}: no word stemmed" for name, n in stemmed.items() if not n]
