@@ -31,7 +31,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 from . import __version__
-from .graphemes import _NOT_FAST_NFC, _data_lines, _lines, _packaged_text
+from .graphemes import _data_lines, _lines, _packaged_text
 from .rules import (
     RuleConflictError,
     RuleError,
@@ -40,7 +40,7 @@ from .rules import (
     builtin_rules,
     parse_rules,
 )
-from .stemmers import _ENGINE_MASKS, ENGINES, _walk, _walk_text
+from .stemmers import _ENGINE_MASKS, ENGINES, _walk_text
 
 EX_OK = 0
 EX_RULE_CONFLICT = 2
@@ -250,16 +250,16 @@ def _reporting_warnings(stderr, score, *args):
 def _trace_text(steps) -> str:
     """The ``#`` lines ``stem --trace`` writes after a word's line."""
     return "".join(
-        f"# {step.rule.klass}\t{step.rule.pattern.text}\t"
-        f"{step.rule.replacement.text}\t{step.after.text}\n"
-        for step in steps
+        f"# {rule.klass}\t{rule.pattern.text}\t"
+        f"{rule.replacement.text}\t{after}\n"
+        for rule, after in steps
     )
 
 
 def _cmd_stem(args, stdin, stdout, stderr) -> int:
     rules = _load_rules(args.rules)
     masks = _ENGINE_MASKS[args.algo]
-    # Only --trace builds the trace: `_walk` appends its steps here.
+    # Only --trace records the steps: `_walk_text` appends them here.
     trace = [] if args.trace else None
     write = stdout.write
     # Running text repeats a few word forms, so each distinct token is
@@ -274,23 +274,17 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
         text = memo.get(token)
         if text is None:
             _reject_tab(token, lineno, "word")
-            # An untraced token that is NFC and in `_LETTER`'s range is
-            # walked over its text, and segmented only where a step
-            # needs it; a token no rule matches costs one probe.
-            if trace is None and _NOT_FAST_NFC.search(token) is None:
-                text = f"{token}\t{_walk_text(rules, token, masks)}\n"
-            else:
-                try:
-                    stem = _walk(rules, token, masks, trace)
-                except ValueError as exc:  # a lone surrogate, from a bad byte
-                    raise _CliError(
-                        EX_DATA,
-                        f"<stdin>: line {lineno}: not valid UTF-8 ({exc})",
-                    ) from None
-                text = f"{token}\t{stem.text}\n"
-                if trace:
-                    text += _trace_text(trace)
-                    trace.clear()
+            try:
+                stem = _walk_text(rules, token, masks, trace)
+            except ValueError as exc:  # a lone surrogate, from a bad byte
+                raise _CliError(
+                    EX_DATA,
+                    f"<stdin>: line {lineno}: not valid UTF-8 ({exc})",
+                ) from None
+            text = f"{token}\t{stem}\n"
+            if trace:
+                text += _trace_text(trace)
+                trace.clear()
             if len(memo) >= _STEM_MEMO_SIZE:
                 memo.clear()
             memo[token] = text

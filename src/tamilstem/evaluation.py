@@ -167,8 +167,8 @@ def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
     ``(n_words, n_unique, *correct)`` at each of *boundaries*: the
     counts so far, one correct count per engine.
 
-    *stems* maps a surface to its stem `GraphemeWord` under each of
-    *engines* engines.  It runs on the first entry of each surface up to
+    *stems* maps a surface `GraphemeWord` to its stem texts under each
+    of *engines* engines.  It runs on the first entry of each surface up to
     the last boundary only; the conflict scan goes on to the end of *gold*.
     """
     first: dict[str, str] = {}  # surface text to its expected stem text
@@ -184,7 +184,7 @@ def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
             first[surface] = stem
             if position <= last:
                 for index, got in enumerate(stems(entry.surface)):
-                    if got.text == stem:
+                    if got == stem:
                         correct[index] += 1
         elif expected != stem:
             conflicts.add(surface)
@@ -205,7 +205,7 @@ def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
     ((_, n_unique, n_correct),) = _score(
-        gold, lambda w: (stemmer(w).stem,), 1, [len(gold)]
+        gold, lambda w: (stemmer(w).stem.text,), 1, [len(gold)]
     )
     return n_unique, n_correct
 
@@ -231,7 +231,7 @@ def compare(
             raise ValueError(
                 f"chunk size {size} exceeds gold length {len(gold)}"
             )
-    points = _score(gold, lambda w: _both(rules, w), 2, sizes)
+    points = _score(gold, lambda w: _both(rules, w.text), 2, sizes)
     return _report([_row(*point) for point in points])
 
 

@@ -11,27 +11,22 @@ and stripping stops at a terminal class.  Substitution rules (plural
 ``ங்கள்``→``ம்``, participle ``டிய``→``டு``) restore the base form
 instead of merely cutting.
 
-Every library entry point is one walk, ``_walk``, over a word's letters
-and two class masks: the classes the first rule may take, and those
-allowed after each step, or None to follow the rule's ``next_classes``.
-All leave unmatched words untouched, including non-Tamil input.
-``_both`` gives ``compare`` a word's strip and light stems, as two
-`GraphemeWord`s.
-
-A walk builds `StemStep`s only for a caller that passes it a list, and
-only ``strip_stem`` and ``light_stem`` build a `StemResult`.  The
-single-step helpers read the stem alone; ``_both`` keeps strip's steps
-only to find where the engines part.
-
-``tamilstem stem`` without ``--trace`` has the one other walk,
-``_walk_text``: for a token that `_NOT_FAST_NFC` finds nothing in, it
-takes ``_walk``'s steps over the token's text, without segmenting it,
-and hands the rest to ``_walk`` at a step that must re-segment.
+A caller that returns letters walks letters: ``strip_stem``,
+``light_stem`` and the single-step helpers are each one ``_walk`` over
+a word's letters and two class masks, the classes the first rule may
+take and those allowed after each step, or None to follow the rule's
+``next_classes``.  A caller that needs only the stem's text, such as
+``tamilstem stem`` and ``_both`` (``compare``'s strip and light stems),
+walks text with ``_walk_text``, which hands over to ``_walk`` where the
+text or a step must be segmented.  A walk records its steps only for a
+caller that passes it a list, and only ``strip_stem`` and
+``light_stem`` build a `StemResult`.  All leave unmatched words
+untouched, including non-Tamil input.
 """
 
 from __future__ import annotations
 
-from .graphemes import GraphemeWord, _as_word, _record, word
+from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _record, word
 from .rules import (
     ALL_CLASSES,
     RuleSet,
@@ -129,28 +124,37 @@ def _walk(
 
 
 def _walk_text(
-    rules: RuleSet, text: str, masks: tuple[int, int | None]
+    rules: RuleSet, text: str, masks: tuple[int, int | None], steps=None
 ) -> str:
-    """The text of ``_walk(rules, text, masks)``, walked over *text*
-    itself, which `_NOT_FAST_NFC` must find nothing in.
+    """The text of ``_walk(rules, text, masks)``; given a list *steps*,
+    append one ``(rule, text after the step)`` pair per applied rule.
 
-    Each step cuts the pattern's text and appends the replacement's,
-    which keeps the text NFC and in `_LETTER`'s range, so the next
-    probe reads it as it is.  At the first step that must re-segment
-    (see `rules._resegments`; the entry's replacement text is None),
-    ``_walk`` takes over from the letters of the text so far, starting
-    with this step's probe.
+    Where `_NOT_FAST_NFC` finds nothing in *text*, each step cuts the
+    pattern's text and appends the replacement's, which keeps the text
+    NFC and in `_LETTER`'s range, so the next probe reads it as it is.
+    ``_walk`` walks the letters of any other text, and takes over at the
+    first step that must re-segment (see `rules._resegments`; the
+    entry's replacement text is None), starting with this step's probe.
     """
-    mask, then = masks
-    entry = _first_text_match(rules, text, mask)
-    while entry is not None:
-        rule, _bit, next_mask, _shortest, _kept, tail = entry
-        if tail is None:
-            return _walk(rules, word(text), (mask, then)).text
-        text = text[: -len(rule.pattern.text)] + tail
-        mask = next_mask if then is None else then
-        entry = _first_text_match(rules, text, mask) if mask else None
-    return text
+    first, then = masks
+    if _NOT_FAST_NFC.search(text) is None:
+        entry = _first_text_match(rules, text, first)
+        while entry is not None:
+            rule, _bit, next_mask, _shortest, _kept, tail = entry
+            if tail is None:  # the step must re-segment: hand over
+                break
+            text = text[: -len(rule.pattern.text)] + tail
+            if steps is not None:
+                steps.append((rule, text))
+            first = next_mask if then is None else then
+            entry = _first_text_match(rules, text, first) if first else None
+        else:
+            return text
+    letters = None if steps is None else []
+    stem = _walk(rules, word(text), (first, then), letters)
+    if letters:
+        steps.extend((step.rule, step.after.text) for step in letters)
+    return stem.text
 
 
 def strip_stem(
@@ -228,26 +232,26 @@ def light_stem(
     return StemResult(steps[0].before, stem, tuple(steps))
 
 
-def _both(
-    rules: RuleSet | None, text: GraphemeWord | str
-) -> tuple[GraphemeWord, GraphemeWord]:
+def _both(rules: RuleSet | None, text: str) -> tuple[str, str]:
     """The strip and light stems of *text*, from one walk where they agree.
 
     While each of strip's steps takes a class in the previous rule's
     ``next_classes``, light takes the same steps: both probe the same
     index in the same order, and light allows a subset of strip's
     classes.  If all of strip's steps do, both stems are the same
-    object.  Past the first that does not, light has stopped or parted
-    ways, so it walks the word again.
+    text.  Past the first that does not, light has stopped or parted
+    ways, so it walks the text again.
     """
-    steps: list[StemStep] = []
-    strip = _walk(rules, text, _STRIP, steps)
-    for prev, step in zip(steps, steps[1:]):
-        if step.rule.klass not in prev.rule.next_classes:
-            return strip, _walk(rules, steps[0].before, _LIGHT)
+    if rules is None:
+        rules = builtin_rules()
+    steps: list[tuple[SuffixRule, str]] = []
+    strip = _walk_text(rules, text, _STRIP, steps)
+    for (prev, _), (rule, _) in zip(steps, steps[1:]):
+        if rule.klass not in prev.next_classes:
+            return strip, _walk_text(rules, text, _LIGHT)
     return strip, strip
 
 
 ENGINES = {"strip": strip_stem, "light": light_stem}
-# The masks each engine walks with, for a caller that needs no trace.
+# The masks each engine walks with, for `tamilstem stem`.
 _ENGINE_MASKS = {"strip": _STRIP, "light": _LIGHT}

@@ -12,8 +12,9 @@ fails loudly if its property does not hold within the stated budget:
 5. strip's first applied rule, and the rule each single-step helper
    applies within its classes, is always the longest applicable one,
    against brute-force search over an exhaustive bounded universe
-6. the one walk `compare` runs for both engines gives each engine's own
-   result over that universe and the fuzz corpus
+6. the one text walk `compare` runs for both engines gives each engine's
+   stem, for four rule sets, over that universe, the fuzz corpus and
+   words where a step must re-segment
 7. the walk over a word's text gives the letter walk's stem under
    every pair of class masks, for three rule sets, over that universe,
    the fuzz corpus and the bundled gold surfaces
@@ -382,35 +383,6 @@ def test_strip_first_rule_is_exhaustive_longest_match(capsys):
     )
 
 
-def test_one_walk_for_both_engines_matches_two(capsys, fuzz_corpus):
-    words = _oracle_universe(_oracle_rules()) + fuzz_corpus
-    violations = []
-    parted = {}
-    for name, rules in (
-        ("built-in", ts.builtin_rules()),
-        ("oracle subset", _oracle_rules()),
-    ):
-        parted[name] = 0
-        for w in words:
-            strip, light = _both(rules, w)
-            parted[name] += strip != light
-            expected = ts.strip_stem(w, rules), ts.light_stem(w, rules)
-            if (strip, light) != tuple(result.stem for result in expected):
-                violations.append(f"{name}: {w.text}")
-    # Both rule sets have words where the engines part, so the second
-    # walk is checked too.
-    ok = not violations and all(parted.values())
-    _report(
-        capsys,
-        ok,
-        f"one strip+light walk matches both engines on {len(words)} "
-        f"words (oracle universe + fuzz corpus); engines part on "
-        + ", ".join(f"{n} {name}" for name, n in parted.items())
-        if ok
-        else f"{len(violations)} violations, first: {violations[:3]}",
-    )
-
-
 # A user rule set with a merging replacement: `லம்` gives way to the
 # vowel sign `ா`, which joins the letter before it (`rules._merges`).
 _MERGING_RULES = (
@@ -419,6 +391,54 @@ _MERGING_RULES = (
     "Plural\tங்கள்\tம்\t1\t\n"
 )
 _MERGING_WORDS = ["படலம்", "படலங்கள்", "படலம்உக்கு", "கெலம்", "மரங்கள்உக்கு"]
+# The Hangul trailing consonant U+11A8 is a letter of its own, yet NFC
+# joins it to the kept syllable 가 into 각, which the second rule strips
+# (as in tests/test_rules.py).
+_NFC_JOINING_RULES = "Case\txy\t\u11a8\t1\tCase\nCase\t각\t\t1\t\n"
+
+
+def test_one_walk_for_both_engines_matches_two(capsys, fuzz_corpus):
+    words = _oracle_universe(_oracle_rules()) + fuzz_corpus
+    # `z가xy각` is where the engines part under the Hangul rules.
+    words += map(ts.word, [*_MERGING_WORDS, "z가xy", "z각", "z가xy각"])
+    violations = []
+    parted = {}
+    handed_over = 0
+    for name, rules in (
+        ("built-in", ts.builtin_rules()),
+        ("oracle subset", _oracle_rules()),
+        ("merging", ts.parse_rules(_MERGING_RULES)),
+        ("NFC-joining", ts.parse_rules(_NFC_JOINING_RULES)),
+    ):
+        parted[name] = 0
+        for w in words:
+            strip, light = _both(rules, w.text)
+            parted[name] += strip != light
+            expected = ts.strip_stem(w, rules), ts.light_stem(w, rules)
+            if (strip, light) != tuple(result.stem.text for result in expected):
+                violations.append(f"{name}: {w.text}")
+            # The text walk hands a word it walks over to the letter walk
+            # at a step that must re-segment.
+            handed_over += _NOT_FAST_NFC.search(w.text) is None and any(
+                _resegments(step.rule.replacement.text)
+                for result in expected
+                for step in result.trace
+            )
+    # Every rule set has words where the engines part, so the second
+    # walk is checked too.
+    ok = not violations and all(parted.values()) and handed_over > 0
+    _report(
+        capsys,
+        ok,
+        f"one strip+light walk matches both engines on {len(words)} "
+        f"words (oracle universe + fuzz corpus + rule-set words); engines "
+        "part on "
+        + ", ".join(f"{n} {name}" for name, n in parted.items())
+        + f"; {handed_over} hand-overs"
+        if ok
+        else f"{len(violations)} violations, first: {violations[:3]}; "
+        f"parted {parted}; {handed_over} hand-overs",
+    )
 
 
 def test_text_only_no_match_check_is_sound(capsys, fuzz_corpus):

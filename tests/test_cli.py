@@ -554,6 +554,11 @@ _CUSTOM_RULES = (
     "Case\ting\t\t1\tPlural\n"
     "Plural\ts\t\t1\t\n"
 )
+# The same with a merging replacement: `லம்` gives way to the vowel sign
+# `ா`, which joins the letter before it, so a walk over a token's text
+# hands over to the walk over its letters after `உக்கு` is cut.
+_MERGING_RULES = _CUSTOM_RULES + "Plural\tலம்\tா\t2\t\n"
+_MERGING_WORDS = "படலம்உக்கு\nபடலங்கள்உக்கு\r\nபடலம்\n"
 
 
 def _stem_oracle(algo, trace, rules, text):
@@ -603,32 +608,37 @@ def _zipf_stream(seed, n_lines):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("algo", ["light", "strip"])
 @pytest.mark.parametrize("trace", [False, True])
-@pytest.mark.parametrize("custom", [False, True])
+@pytest.mark.parametrize("custom", [False, True, "merging"])
 def test_stem_matches_a_line_by_line_oracle(tmp_path, seed, algo, trace, custom):
     text = _zipf_stream(seed, 600)
     argv = ["stem", "--algo", algo] + (["--trace"] if trace else [])
     rules = builtin_rules()
     if custom:
+        rules_text = _CUSTOM_RULES
+        if custom == "merging":
+            rules_text = _MERGING_RULES
+            text += _MERGING_WORDS
         path = tmp_path / "rules.tsv"
-        path.write_text(_CUSTOM_RULES, encoding="utf-8")
+        path.write_text(rules_text, encoding="utf-8")
         argv += ["--rules", str(path)]
-        rules = parse_rules(_CUSTOM_RULES)
+        rules = parse_rules(rules_text)
     code, out, err = run_cli(argv, text)
     assert (code, err) == (EX_OK, "")
     assert out == _stem_oracle(algo, trace, rules, text)
+    if custom == "merging":  # each engine hands over after a text step
+        assert "படலம்உக்கு\tபடா\n" in out
 
 
 def _count_walks(monkeypatch):
-    """Count the walks ``stem`` runs, per (token, walk): ``_walk`` over
-    letters or ``_walk_text`` over text, its two call sites."""
+    """Count the walks ``stem`` runs per token: its one call site,
+    ``_walk_text``."""
     calls = collections.Counter()
-    for name in ("_walk", "_walk_text"):
 
-        def counting(rules, token, *args, name=name, walk=getattr(cli, name)):
-            calls[token, name] += 1
-            return walk(rules, token, *args)
+    def counting(rules, token, *args, walk=cli._walk_text):
+        calls[token] += 1
+        return walk(rules, token, *args)
 
-        monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(cli, "_walk_text", counting)
     return calls
 
 
@@ -642,8 +652,6 @@ def test_stem_stems_each_distinct_token_once(monkeypatch):
         code, out, _ = run_cli(argv, text)
         assert code == EX_OK
         assert calls and set(calls.values()) == {1}
-        # by exactly one of the two walks
-        assert len({token for token, _ in calls}) == len(calls)
 
         calls.clear()
         monkeypatch.setattr(cli, "_STEM_MEMO_SIZE", 2)
@@ -657,18 +665,19 @@ def test_stem_walks_each_token_with_one_walk(monkeypatch, algo):
     tokens = ("கணினி", "computer", "மரங்கள்")
     text = "கணினி\ncomputer\nமரங்கள்\nகணினி\nமரங்கள்\n"
     calls = _count_walks(monkeypatch)
-    for trace, walk in ((False, "_walk_text"), (True, "_walk")):
+    for trace in (False, True):
         calls.clear()
         expected = _stem_oracle(algo, trace, builtin_rules(), text)
         argv = ["stem", "--algo", algo] + (["--trace"] if trace else [])
         code, out, err = run_cli(argv, text)
         assert (code, out, err) == (EX_OK, expected, "")
-        assert calls == {(token, walk): 1 for token in tokens}
+        assert calls == dict.fromkeys(tokens, 1)
 
 
 def test_plain_stem_segments_no_fast_token(monkeypatch):
     # NFC tokens in the fast range, which rules match and do not match;
     # then a non-NFC spelling (ெ + ா is ொ) and a mark outside that range.
+    # Traced or not, only the latter are segmented.
     fast = ("மரங்கள்உக்கு", "படித்தேன்", "கணினி", "computer")
     slow = ("மரங்கெ\u0bbeள்", "cafe\u0301s")
     texts = {tokens: "".join(t + "\n" for t in tokens) for tokens in (fast, slow)}
@@ -691,18 +700,14 @@ def test_plain_stem_segments_no_fast_token(monkeypatch):
             return original(text)
 
         monkeypatch.setattr(module, name, counting)
-    for tokens, trace, walk in (
-        (fast, False, "_walk_text"),
-        (fast, True, "_walk"),
-        (slow, False, "_walk"),
-    ):
+    for tokens, trace in expected:
         calls.clear()
         segmented.clear()
         argv = ["stem"] + (["--trace"] if trace else [])
         code, out, err = run_cli(argv, texts[tokens])
         assert (code, out, err) == (EX_OK, expected[tokens, trace], "")
-        assert calls == {(token, walk): 1 for token in tokens}
-        assert bool(segmented) == (walk == "_walk")
+        assert calls == dict.fromkeys(tokens, 1)
+        assert bool(segmented) == (tokens == slow)
 
 
 def _count_trace_objects(monkeypatch):
@@ -724,6 +729,14 @@ def _count_trace_objects(monkeypatch):
 def test_untraced_stem_and_single_step_helpers_build_no_trace(monkeypatch):
     text = _zipf_stream(5, 300)
     expected = {a: _stem_oracle(a, False, builtin_rules(), text) for a in ENGINES}
+    # A traced `stem` records its steps as (rule, text) pairs, so over
+    # tokens it walks as text it builds no trace objects either.
+    fast = "".join(
+        line + "\n"
+        for line in text.splitlines()
+        if graphemes._NOT_FAST_NFC.search(line) is None
+    )
+    traced = _stem_oracle("light", True, builtin_rules(), fast)
     surfaces = [s.text for s, _ in build_corpus()]
     built = _count_trace_objects(monkeypatch)
     for algo in sorted(ENGINES):
@@ -734,11 +747,12 @@ def test_untraced_stem_and_single_step_helpers_build_no_trace(monkeypatch):
                    tamilstem.strip_tense):
         changed += sum(helper(s).text != s for s in surfaces)
     assert changed and not built
-    # The counting classes do see what the traced walks build.
-    run_cli(["stem", "--trace"], text)
-    assert built["StemStep"] and not built["StemResult"]
+    code, out, _ = run_cli(["stem", "--trace"], fast)
+    assert (code, out) == (EX_OK, traced)
+    assert "\n# " in traced and not built
+    # The counting classes do see what the letter walks build.
     tamilstem.light_stem("மரங்கள்")
-    assert built["StemResult"] == 1
+    assert built == {"StemStep": 1, "StemResult": 1}
 
 
 def test_compare_builds_no_stem_result(monkeypatch):
@@ -765,10 +779,11 @@ def test_compare_builds_no_stem_result(monkeypatch):
     assert [run_cli(argv, text) for text in texts] == expected
     (row,) = reports[1].rows
     assert row.n_correct_light > row.n_correct_strip
-    # The walks record strip's steps to find where the engines part.
-    assert built["StemStep"] and not built["StemResult"]
+    # `_both` walks text: strip's steps, which show where the engines
+    # part, are (rule, text) pairs.
+    assert not built
     tamilstem.evaluate(tamilstem.light_stem, golds[0])
-    assert built["StemResult"]
+    assert built["StemStep"] and built["StemResult"]
 
 
 @pytest.mark.parametrize("trace", [False, True])

@@ -479,9 +479,9 @@ def test_compare_stems_nothing_after_the_last_chunk(monkeypatch):
     stemmed = []
     both = evaluation._both
 
-    def counting(rules, w):
-        stemmed.append(w.text)
-        return both(rules, w)
+    def counting(rules, text):
+        stemmed.append(text)
+        return both(rules, text)
 
     monkeypatch.setattr(evaluation, "_both", counting)
     report, message = _one_conflict_warning(compare, gold, [10, 25])
