@@ -211,18 +211,20 @@ def _load_rules(path: "str | None") -> RuleSet:
         raise _CliError(EX_DATA, f"{path}: {exc}") from None
 
 
-def _load_gold_entries(path, stdin):
-    from .evaluation import GoldError, load_gold
+def _read_gold(path, stdin, parse):
+    """Gold data from *path* or *stdin*, parsed by *parse*: `load_gold`
+    or `evaluation._parse_gold`."""
+    from .evaluation import GoldError
 
     text = _read_file(path) if path is not None else stdin.read()
     source = path if path is not None else "<stdin>"
     try:
-        entries = load_gold(text)
+        gold = parse(text)
     except GoldError as exc:
         raise _CliError(EX_DATA, f"{source}: {exc}") from None
-    if not entries:
+    if not gold:
         raise _CliError(EX_DATA, f"{source}: empty gold standard")
-    return entries
+    return gold
 
 
 def _reject_tab(text: str, lineno: int, what: str) -> None:
@@ -293,11 +295,11 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_eval(args, stdin, stdout, stderr) -> int:
-    from .evaluation import accuracy, evaluate, format_accuracy
+    from .evaluation import accuracy, evaluate, format_accuracy, load_gold
 
     rules = _load_rules(args.rules)
     engine = ENGINES[args.algo]
-    entries = _load_gold_entries(args.gold, stdin)
+    entries = _read_gold(args.gold, stdin, load_gold)
     n_unique, n_correct = _reporting_warnings(
         stderr, evaluate, lambda w: engine(w, rules), entries
     )
@@ -309,13 +311,16 @@ def _cmd_eval(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_compare(args, stdin, stdout, stderr) -> int:
-    from .evaluation import compare, render
+    from .evaluation import _compare_texts, _parse_gold, render
 
     rules = _load_rules(args.rules)
-    entries = _load_gold_entries(args.gold, stdin)
-    chunks = args.chunks if args.chunks is not None else [len(entries)]
+    # `compare` scores text pairs: it segments no field.
+    pairs = _read_gold(args.gold, stdin, _parse_gold)
+    chunks = args.chunks if args.chunks is not None else [len(pairs)]
     try:
-        report = _reporting_warnings(stderr, compare, entries, chunks, rules)
+        report = _reporting_warnings(
+            stderr, _compare_texts, pairs, chunks, rules
+        )
     except ValueError as exc:
         raise _CliError(EX_DATA, str(exc)) from None
     stdout.write(render(report, args.format))

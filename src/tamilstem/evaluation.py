@@ -16,6 +16,11 @@ gold sequence ("the first 200 entries, the first 400, …") and appends
 the arithmetic mean of the per-chunk accuracies.  Both engines run
 through `stemmers._both`, and no surface after the last chunk is
 stemmed.
+
+One parser, `_parse_gold`, reads gold text.  `load_gold` builds
+`GoldEntry`s from it; ``tamilstem compare`` scores its NFC text pairs
+as they are, through the same path as `compare`, and so segments no
+field.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .graphemes import GraphemeWord, _as_word, _data_lines, _packaged_text, _record, word
+from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _data_lines
+from .graphemes import _packaged_text, _record, normalize, word
 from .paradigm import build_corpus
 from .rules import RuleSet
 from .stemmers import _both
@@ -94,12 +100,41 @@ class EvalReport:
     avg_light: Fraction | None
 
 
-class _Words(dict):
-    """Field text to its `word`, segmented on the first lookup."""
+def _parse_gold(text: str, entry=None) -> list:
+    """One item per data line of gold *text* (``#`` comments and blanks
+    skip): the line's ``(surface, stem)`` NFC text pair or, given
+    *entry*, ``entry(surface, stem)`` of its stripped fields, which
+    *entry* must normalize, as `word` does.
 
-    def __missing__(self, text: str) -> GraphemeWord:
-        segmented = self[text] = word(text)
-        return segmented
+    Each distinct raw line is parsed once per call, and its repeats
+    share one item.  Each field is a stripped substring of its line, so
+    where `_NOT_FAST_NFC` finds nothing in the line, both fields are
+    already NFC; only the fields of other lines are normalized.  A lone
+    surrogate, the residue of a failed decode, is a `GoldError` at the
+    first line that carries it.
+    """
+    items = []
+    parsed = {}  # raw line to its item; only lines that parsed cleanly
+    for lineno, line in _data_lines(text):
+        item = parsed.get(line)
+        if item is None:
+            fields = line.strip().split("\t")
+            if len(fields) != 2:
+                raise GoldError(
+                    lineno,
+                    f"expected 2 tab-separated fields, got {len(fields)}",
+                )
+            item = fields[0].strip(), fields[1].strip()
+            try:
+                if entry is not None:
+                    item = entry(*item)
+                elif _NOT_FAST_NFC.search(line) is not None:
+                    item = normalize(item[0]), normalize(item[1])
+            except ValueError as exc:  # a lone surrogate from a failed decode
+                raise GoldError(lineno, str(exc)) from None
+            parsed[line] = item
+        items.append(item)
+    return items
 
 
 def load_gold(text: str) -> list[GoldEntry]:
@@ -109,25 +144,8 @@ def load_gold(text: str) -> list[GoldEntry]:
     (frozen) `GoldEntry`.  Each distinct field text is segmented once per
     call, and its entries share one `GraphemeWord`.
     """
-    entries = []
-    words = _Words()
-    parsed = {}  # raw line to its entry; only lines that parsed cleanly
-    for lineno, line in _data_lines(text):
-        entry = parsed.get(line)
-        if entry is None:
-            fields = line.strip().split("\t")
-            if len(fields) != 2:
-                raise GoldError(
-                    lineno,
-                    f"expected 2 tab-separated fields, got {len(fields)}",
-                )
-            surface, stem = fields[0].strip(), fields[1].strip()
-            try:
-                entry = parsed[line] = GoldEntry(words[surface], words[stem])
-            except ValueError as exc:  # a lone surrogate from a failed decode
-                raise GoldError(lineno, str(exc)) from None
-        entries.append(entry)
-    return entries
+    words = lru_cache(maxsize=None)(word)  # field text to its word
+    return _parse_gold(text, lambda s, t: GoldEntry(words(s), words(t)))
 
 
 def dataset_stats(words: "list[GraphemeWord | str]") -> DatasetStats:
@@ -162,14 +180,18 @@ def format_accuracy(value: Rational) -> str:
     return f"{'-' if tenths < 0 else ''}{whole}.{tenth}"
 
 
-def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
-    """Score *gold* in one pass under the gold policy, recording
-    ``(n_words, n_unique, *correct)`` at each of *boundaries*: the
-    counts so far, one correct count per engine.
+def _score(
+    pairs, stems, engines, boundaries, stacklevel
+) -> "list[tuple[int, ...]]":
+    """Score gold text *pairs* in one pass under the gold policy,
+    recording ``(n_words, n_unique, *correct)`` at each of *boundaries*:
+    the counts so far, one correct count per engine.
 
-    *stems* maps a surface `GraphemeWord` to its stem texts under each
-    of *engines* engines.  It runs on the first entry of each surface up to
-    the last boundary only; the conflict scan goes on to the end of *gold*.
+    *stems* maps a surface text to its stem texts under each of
+    *engines* engines.  It runs on the first entry of each surface up to
+    the last boundary only; the conflict scan goes on to the end of
+    *pairs*.  The conflict warning points *stacklevel* frames up, as
+    `warnings.warn` counts them from here.
     """
     first: dict[str, str] = {}  # surface text to its expected stem text
     conflicts = set()
@@ -177,13 +199,12 @@ def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
     ends = set(boundaries)
     last = max(ends, default=0)
     points = []
-    for position, entry in enumerate(gold, start=1):
-        surface, stem = entry.surface.text, entry.expected_stem.text
+    for position, (surface, stem) in enumerate(pairs, start=1):
         expected = first.get(surface)
         if expected is None:
             first[surface] = stem
             if position <= last:
-                for index, got in enumerate(stems(entry.surface)):
+                for index, got in enumerate(stems(surface)):
                     if got == stem:
                         correct[index] += 1
         elif expected != stem:
@@ -195,17 +216,27 @@ def _score(gold, stems, engines, boundaries) -> "list[tuple[int, ...]]":
             "conflicting expected stems for duplicated surfaces "
             f"(first occurrence wins): {', '.join(sorted(conflicts))}",
             GoldConflictWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return points
+
+
+def _texts(gold: "list[GoldEntry]") -> "list[tuple[str, str]]":
+    return [(e.surface.text, e.expected_stem.text) for e in gold]
 
 
 def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
     """Score one engine: (n_unique, n_correct) under the gold policy."""
     if not gold:
         raise ValueError("empty gold standard: nothing to evaluate")
+    # The stemmer takes each surface's first `GraphemeWord`.
+    words = {e.surface.text: e.surface for e in reversed(gold)}
     ((_, n_unique, n_correct),) = _score(
-        gold, lambda w: (stemmer(w).stem.text,), 1, [len(gold)]
+        _texts(gold),
+        lambda text: (stemmer(words[text]).stem.text,),
+        1,
+        [len(gold)],
+        stacklevel=3,
     )
     return n_unique, n_correct
 
@@ -221,17 +252,25 @@ def compare(
     Row k covers the first ``chunk_sizes[k]`` entries under the gold
     policy, so unique counts are non-decreasing across rows.
     """
+    return _compare_texts(_texts(gold), chunk_sizes, rules, stacklevel=4)
+
+
+def _compare_texts(pairs, chunk_sizes, rules, stacklevel=3) -> EvalReport:
+    """`compare` over gold text *pairs*, as `_parse_gold` reads them.  A
+    conflict warning points *stacklevel* frames up from `_score`."""
     sizes = list(chunk_sizes)
     for previous, size in zip([0, *sizes], sizes):
         if size < 1:
             raise ValueError(f"chunk sizes must be positive, got {sizes}")
         if size <= previous:
             raise ValueError(f"chunk sizes must be ascending, got {sizes}")
-        if size > len(gold):
+        if size > len(pairs):
             raise ValueError(
-                f"chunk size {size} exceeds gold length {len(gold)}"
+                f"chunk size {size} exceeds gold length {len(pairs)}"
             )
-    points = _score(gold, lambda w: _both(rules, w.text), 2, sizes)
+    points = _score(
+        pairs, lambda text: _both(rules, text), 2, sizes, stacklevel
+    )
     return _report([_row(*point) for point in points])
 
 

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import tamilstem
-from tamilstem import cli, graphemes, rules as rules_module, stemmers
+from tamilstem import cli, evaluation, graphemes, stemmers
+from tamilstem import rules as rules_module
 from tamilstem.cli import (
     EX_DATA,
     EX_NOINPUT,
@@ -784,6 +785,74 @@ def test_compare_builds_no_stem_result(monkeypatch):
     assert not built
     tamilstem.evaluate(tamilstem.light_stem, golds[0])
     assert built["StemStep"] and built["StemResult"]
+
+
+def _count_gold_work(monkeypatch):
+    """Count the `word`, `segment` and `normalize` calls and the
+    `GoldEntry`s that reading and scoring gold make."""
+    counts = collections.Counter()
+    for module, name in (
+        (graphemes, "word"),
+        (graphemes, "segment"),
+        (graphemes, "normalize"),
+        (stemmers, "word"),
+        (rules_module, "word"),
+        (evaluation, "word"),
+        (evaluation, "normalize"),
+    ):
+
+        def counting(text, name=name, original=getattr(module, name)):
+            counts[name] += 1
+            return original(text)
+
+        monkeypatch.setattr(module, name, counting)
+
+    class Counting(evaluation.GoldEntry):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            counts["GoldEntry"] += 1
+            super().__init__(*fields)
+
+    monkeypatch.setattr(evaluation, "GoldEntry", Counting)
+    return counts
+
+
+def test_compare_segments_no_fast_gold_line(monkeypatch):
+    # CLI `compare` scores the text pairs the gold parser reads.  Over
+    # the bundled gold and `generate` output, NFC and in the fast range,
+    # it segments and normalizes nothing and builds no `GoldEntry`.  A
+    # non-NFC line (ெ + ா is ொ; e + combining acute is é) is normalized,
+    # one call per field, and not segmented.
+    bundled = "".join(
+        f"{e.surface.text}\t{e.expected_stem.text}\n"
+        for e in tamilstem.bundled_gold()
+    )
+    generated = "".join(
+        run_cli(["generate", "--paradigm", paradigm], roots)[1]
+        for paradigm, roots in (("verb", "படி\nஓடு\n"), ("noun", "மரம்\n"))
+    )
+    slow = "மரங்கெ\u0bbeள்\tமரம்\ncafe\u0301s\tcafe\u0301\n"
+    texts = (bundled, generated, slow)
+    assert not any(graphemes._NOT_FAST_NFC.search(t) for t in texts[:2])
+    argv = ["compare", "--format", "csv"]
+    expected = [run_cli(argv, text) for text in texts]
+    counts = _count_gold_work(monkeypatch)
+    for text, output in zip(texts, expected):
+        counts.clear()
+        assert run_cli(argv, text) == output
+        assert counts == ({"normalize": 4} if text is slow else {})
+
+    # `load_gold` still segments each distinct field text once and
+    # builds one entry per distinct line.
+    for text in texts:
+        counts.clear()
+        gold = evaluation.load_gold(text)
+        lines = set(text.splitlines())
+        fields = {field for line in lines for field in line.split("\t")}
+        assert counts["word"] == len(fields)
+        assert counts["GoldEntry"] == len(lines) == len(set(gold))
+        assert counts["segment"] == (3 if text is slow else 0)
 
 
 @pytest.mark.parametrize("trace", [False, True])

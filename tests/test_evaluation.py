@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import unicodedata
 import warnings
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from tamilstem import evaluation
 from tamilstem.cli import main
 from tamilstem.evaluation import (
     CSV_HEADER,
+    REPORT_FORMATS,
     DatasetStats,
     EvalReport,
     EvalRow,
@@ -192,6 +194,86 @@ def test_load_gold_names_the_first_line_of_a_repeated_bad_field():
             )
 
 
+def _nfd(text):
+    return unicodedata.normalize("NFD", text)
+
+
+def _mixed_spelling_gold_text(seed):
+    """Bundled-gold lines, each with its surface, its stem, both or
+    neither spelled in NFD; Latin fields with combining marks; conflicts
+    and agreeing repeats whose surface is spelled in NFD; repeated
+    lines, a BOM and CRLF endings."""
+    rng = random.Random(seed)
+    pool = [(e.surface.text, e.expected_stem.text) for e in bundled_gold()]
+    # NFD splits ொ, ோ, ௌ and ஔ, so these lines have two spellings.
+    decomposing = [p for p in pool if _nfd("\t".join(p)) != "\t".join(p)]
+    latin = [
+        ("cafe\u0301s", "cafe\u0301"),
+        ("cafés", "café"),  # the NFC spelling of the line above
+        ("x\u0301yz", "x\u0301"),  # no precomposed x́: it stays as it is
+        ("nai\u0308ve", "naïve"),
+    ]
+    lines = []
+    for surface, stem in rng.sample(pool, 300) + decomposing + latin:
+        kind = rng.randrange(4)
+        if kind & 1:
+            surface = _nfd(surface)
+        if kind & 2:
+            stem = _nfd(stem)
+        lines.append(f"{surface}\t{stem}")
+    for surface, stem in rng.sample(decomposing, 5):
+        lines.append(f"{_nfd(surface)}\t{stem}ம்")  # a conflict
+        lines.append(f"{_nfd(surface)}\t{_nfd(stem)}")  # no conflict
+    lines += rng.choices(lines, k=200)
+    rng.shuffle(lines)
+    return "\ufeff" + "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cli_compare_prints_the_library_report_on_mixed_spellings(seed):
+    text = _mixed_spelling_gold_text(seed)
+    gold = load_gold(text)
+    n = len(gold)
+    surfaces = {e.surface.text for e in gold}
+    assert n > 600 and len(surfaces) < n
+    assert all(_nfd(s) == s or _nfd(s) not in surfaces for s in surfaces)
+    for chunks in ([n], [1, n // 3, n]):
+        report, message = _one_conflict_warning(compare, gold, chunks)
+        named = message.split(": ", 1)[1].split(", ")
+        assert any(_nfd(s) != s for s in named)
+        sizes = ",".join(map(str, chunks))
+        for fmt in REPORT_FORMATS:
+            argv = ["compare", "--chunks", sizes, "--format", fmt]
+            assert _main(argv, text) == (
+                0, render(report, fmt), f"tamilstem: warning: {message}\n"
+            )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "மர\udcffம்\tமரம்",
+        "மரம்\tமர\udcffம்",
+        _nfd("கொடு") + "\udcff\tகொடு",
+        _nfd("கொடு") + "\t\udcff" + _nfd("கொடு"),
+        "மரம்",
+        _nfd("கொடு"),
+        "மரம்\tமரம்\tமரம்",
+    ],
+)
+def test_cli_compare_names_the_first_bad_line_as_load_gold_does(bad):
+    # The bad line, line 3, comes after an NFC line and an NFD one and
+    # repeats on line 5.
+    first = "படித்தோம்\tபடி"
+    text = f"\ufeff{first}\r\n{_nfd(first)}\n{bad}\nமரம்\tமரம்\n{bad}\n"
+    with pytest.raises(GoldError, match="^line 3: ") as exc:
+        load_gold(text)
+    for argv in (["compare"], ["compare", "--chunks", "1", "--format", "csv"]):
+        assert _main(argv, text) == (
+            65, "", f"tamilstem: error: <stdin>: {exc.value}\n"
+        )
+
+
 def test_eval_output_is_the_same_when_every_gold_line_is_doubled():
     generated = _main(["generate", "--paradigm", "verb"], "படி\nஓடு\n")[1]
     conflicting = generated + "படித்தேன்\tவேறு\n"
@@ -269,6 +351,21 @@ def test_evaluate_deduplicates_first_wins():
     with pytest.warns(GoldConflictWarning, match="படித்தேன்"):
         n_unique, n_correct = evaluate(light_stem, gold)
     assert (n_unique, n_correct) == (2, 2)
+
+
+def test_evaluate_hands_the_stemmer_each_surfaces_first_word():
+    # Equal surfaces from separate `word` calls: the stemmer gets the
+    # first entry's object, once.
+    gold = _gold([("மரம்", "மரம்"), ("படி", "படி"), ("மரம்", "மரம்")])
+    assert gold[0].surface is not gold[2].surface
+    seen = []
+
+    def stemmer(w):
+        seen.append(w)
+        return light_stem(w)
+
+    assert evaluate(stemmer, gold) == (2, 2)
+    assert [id(w) for w in seen] == [id(e.surface) for e in gold[:2]]
 
 
 def test_evaluate_duplicates_without_conflict_are_silent():
