@@ -20,7 +20,8 @@ stemmed.
 One parser, `_parse_gold`, reads gold text.  `load_gold` builds
 `GoldEntry`s from it; ``tamilstem compare`` scores its NFC text pairs
 as they are, through the same path as `compare`, and so segments no
-field.
+field.  Where no line needed normalizing, the walks are told so, and
+no surface is scanned again.
 """
 
 from __future__ import annotations
@@ -100,20 +101,30 @@ class EvalReport:
     avg_light: Fraction | None
 
 
+class _Pairs(list):
+    """Gold text pairs.  *fast* is true where `_NOT_FAST_NFC` found
+    nothing in any of their lines, so the walks need not scan them."""
+
+    def __init__(self, pairs, fast=False):
+        super().__init__(pairs)
+        self.fast = fast
+
+
 def _parse_gold(text: str, entry=None) -> list:
     """One item per data line of gold *text* (``#`` comments and blanks
-    skip): the line's ``(surface, stem)`` NFC text pair or, given
-    *entry*, ``entry(surface, stem)`` of its stripped fields, which
-    *entry* must normalize, as `word` does.
+    skip): the line's ``(surface, stem)`` NFC text pair, in `_Pairs`,
+    or, given *entry*, ``entry(surface, stem)`` of its stripped fields,
+    which *entry* must normalize, as `word` does.
 
     Each distinct raw line is parsed once per call, and its repeats
     share one item.  Each field is a stripped substring of its line, so
-    where `_NOT_FAST_NFC` finds nothing in the line, both fields are
-    already NFC; only the fields of other lines are normalized.  A lone
-    surrogate, the residue of a failed decode, is a `GoldError` at the
-    first line that carries it.
+    where `_NOT_FAST_NFC` finds nothing in the line, it finds nothing in
+    either field, which is already NFC; only the fields of other lines
+    are normalized.  A lone surrogate, the residue of a failed decode,
+    is a `GoldError` at the first line that carries it.
     """
     items = []
+    fast = True  # until a line is normalized
     parsed = {}  # raw line to its item; only lines that parsed cleanly
     for lineno, line in _data_lines(text):
         item = parsed.get(line)
@@ -130,11 +141,12 @@ def _parse_gold(text: str, entry=None) -> list:
                     item = entry(*item)
                 elif _NOT_FAST_NFC.search(line) is not None:
                     item = normalize(item[0]), normalize(item[1])
+                    fast = False
             except ValueError as exc:  # a lone surrogate from a failed decode
                 raise GoldError(lineno, str(exc)) from None
             parsed[line] = item
         items.append(item)
-    return items
+    return items if entry is not None else _Pairs(items, fast)
 
 
 def load_gold(text: str) -> list[GoldEntry]:
@@ -221,8 +233,8 @@ def _score(
     return points
 
 
-def _texts(gold: "list[GoldEntry]") -> "list[tuple[str, str]]":
-    return [(e.surface.text, e.expected_stem.text) for e in gold]
+def _texts(gold: "list[GoldEntry]") -> _Pairs:
+    return _Pairs((e.surface.text, e.expected_stem.text) for e in gold)
 
 
 def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
@@ -255,7 +267,9 @@ def compare(
     return _compare_texts(_texts(gold), chunk_sizes, rules, stacklevel=4)
 
 
-def _compare_texts(pairs, chunk_sizes, rules, stacklevel=3) -> EvalReport:
+def _compare_texts(
+    pairs: _Pairs, chunk_sizes, rules, stacklevel=3
+) -> EvalReport:
     """`compare` over gold text *pairs*, as `_parse_gold` reads them.  A
     conflict warning points *stacklevel* frames up from `_score`."""
     sizes = list(chunk_sizes)
@@ -268,9 +282,11 @@ def _compare_texts(pairs, chunk_sizes, rules, stacklevel=3) -> EvalReport:
             raise ValueError(
                 f"chunk size {size} exceeds gold length {len(pairs)}"
             )
-    points = _score(
-        pairs, lambda text: _both(rules, text), 2, sizes, stacklevel
-    )
+    if pairs.fast:  # the walks need not scan what the parser has
+        stems = lambda text: _both(rules, text, True)
+    else:
+        stems = lambda text: _both(rules, text)
+    points = _score(pairs, stems, 2, sizes, stacklevel)
     return _report([_row(*point) for point in points])
 
 

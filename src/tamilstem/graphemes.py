@@ -60,10 +60,12 @@ def _joins_previous(ch: str) -> bool:
 
 # The combining marks of the Tamil block.  No code point below U+0300 is
 # one, so with the joiners these are all the marks a base character can
-# absorb in text that `_NOT_FAST_NFC` does not match.
+# absorb in text that `_NOT_FAST_NFC` does not match: there, any other
+# code point starts a letter.
 _TAMIL_MARKS = frozenset(
     chr(c) for c in range(0x0B80, 0x0C00) if _joins_previous(chr(c))
 )
+_JOINS = _TAMIL_MARKS | _ZERO_WIDTH_JOINERS
 
 
 def _char_class(chars) -> str:
@@ -83,7 +85,7 @@ _NOT_FAST_NFC = re.compile(
 _LETTER = re.compile(
     _char_class(_CONSONANTS) + _char_class(_DEPENDENT_SIGNS) + "*"
     "|" + _char_class(_INDEPENDENT_VOWELS | {_AYTHAM}) + "ௗ*"
-    "|." + _char_class(_TAMIL_MARKS | _ZERO_WIDTH_JOINERS) + "*",
+    "|." + _char_class(_JOINS) + "*",
     re.DOTALL,
 )
 

@@ -25,6 +25,10 @@ and a word whose final letter ends no pattern costs one dictionary
 miss.  A text's last two code points give the same lengths, so
 `_first_text_match` finds the same rule from a word's raw text,
 without segmenting it, for text that `_NOT_FAST_NFC` finds nothing in.
+There, whether two letters come before a pattern is read from the
+text's second or third code point; only where neither settles it, or
+where a rule keeps more, are the letters counted (see
+`_first_text_match`).
 """
 
 import enum
@@ -35,6 +39,7 @@ from functools import lru_cache
 from .graphemes import (
     _DEPENDENT_SIGNS,
     _FIRST_LETTERS,
+    _JOINS,
     _NOT_FAST_NFC,
     GraphemeWord,
     _data_lines,
@@ -398,8 +403,13 @@ def _first_text_match(rules: RuleSet, text: str, mask: int) -> _Entry | None:
     nothing in: NFC, and split into letters by `_LETTER`.
 
     It probes the same code-point lengths, read under *text*'s last two
-    code points instead of its last letter, and counts the letters kept
-    before the pattern only as far as the rule needs.
+    code points instead of its last letter.  The letters a rule keeps
+    before its pattern are read from code points where they can be:
+    each letter is at least one, any text is at least one letter, and
+    in such text a code point outside `graphemes._JOINS` always starts
+    a letter, so where ``text[1]``, or ``text[2]`` before the pattern,
+    is one, there are two.  Where neither is, and for a rule that keeps
+    three letters or more, ``_FIRST_LETTERS[need]`` counts them.
     """
     n = len(text)
     index = rules._index
@@ -408,13 +418,21 @@ def _first_text_match(rules: RuleSet, text: str, mask: int) -> _Entry | None:
         if entries is not None:
             end = n - k
             for entry in entries:
-                # Each letter is at least one code point, and any text
-                # before the pattern is at least one letter.
                 need = entry[4]
                 if (
                     entry[1] & mask
                     and need <= end
-                    and (need < 2 or _FIRST_LETTERS[need].match(text, 0, end))
+                    and (
+                        need < 2
+                        or (
+                            need == 2
+                            and (
+                                text[1] not in _JOINS
+                                or (end > 2 and text[2] not in _JOINS)
+                            )
+                        )
+                        or _FIRST_LETTERS[need].match(text, 0, end)
+                    )
                 ):
                     return entry
     return None

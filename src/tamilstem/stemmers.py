@@ -124,7 +124,11 @@ def _walk(
 
 
 def _walk_text(
-    rules: RuleSet, text: str, masks: tuple[int, int | None], steps=None
+    rules: RuleSet,
+    text: str,
+    masks: tuple[int, int | None],
+    steps=None,
+    fast=False,
 ) -> str:
     """The text of ``_walk(rules, text, masks)``; given a list *steps*,
     append one ``(rule, text after the step)`` pair per applied rule.
@@ -132,12 +136,14 @@ def _walk_text(
     Where `_NOT_FAST_NFC` finds nothing in *text*, each step cuts the
     pattern's text and appends the replacement's, which keeps the text
     NFC and in `_LETTER`'s range, so the next probe reads it as it is.
-    ``_walk`` walks the letters of any other text, and takes over at the
-    first step that must re-segment (see `rules._resegments`; the
-    entry's replacement text is None), starting with this step's probe.
+    A caller that has already scanned *text* and found nothing passes
+    *fast*, and the walk does not scan it again.  ``_walk`` walks the
+    letters of any other text, and takes over at the first step that
+    must re-segment (see `rules._resegments`; the entry's replacement
+    text is None), starting with this step's probe.
     """
     first, then = masks
-    if _NOT_FAST_NFC.search(text) is None:
+    if fast or _NOT_FAST_NFC.search(text) is None:
         entry = _first_text_match(rules, text, first)
         while entry is not None:
             rule, _bit, next_mask, _shortest, _kept, tail = entry
@@ -232,7 +238,7 @@ def light_stem(
     return StemResult(steps[0].before, stem, tuple(steps))
 
 
-def _both(rules: RuleSet | None, text: str) -> tuple[str, str]:
+def _both(rules: RuleSet | None, text: str, fast=False) -> tuple[str, str]:
     """The strip and light stems of *text*, from one walk where they agree.
 
     While each of strip's steps takes a class in the previous rule's
@@ -240,15 +246,16 @@ def _both(rules: RuleSet | None, text: str) -> tuple[str, str]:
     index in the same order, and light allows a subset of strip's
     classes.  If all of strip's steps do, both stems are the same
     text.  Past the first that does not, light has stopped or parted
-    ways, so it walks the text again.
+    ways, so it walks the text again.  Both walks take *fast* as
+    `_walk_text` does.
     """
     if rules is None:
         rules = builtin_rules()
     steps: list[tuple[SuffixRule, str]] = []
-    strip = _walk_text(rules, text, _STRIP, steps)
+    strip = _walk_text(rules, text, _STRIP, steps, fast)
     for (prev, _), (rule, _) in zip(steps, steps[1:]):
         if rule.klass not in prev.next_classes:
-            return strip, _walk_text(rules, text, _LIGHT)
+            return strip, _walk_text(rules, text, _LIGHT, None, fast)
     return strip, strip
 
 

@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import unicodedata
 
 import pytest
 
@@ -853,6 +854,67 @@ def test_compare_segments_no_fast_gold_line(monkeypatch):
         assert counts["word"] == len(fields)
         assert counts["GoldEntry"] == len(lines) == len(set(gold))
         assert counts["segment"] == (3 if text is slow else 0)
+
+
+class _CountingPattern:
+    """A compiled pattern that counts its `search` calls in *counts*."""
+
+    def __init__(self, pattern, counts, name):
+        self.pattern, self.counts, self.name = pattern, counts, name
+
+    def search(self, *args):
+        self.counts[self.name] += 1
+        return self.pattern.search(*args)
+
+
+def test_compare_scans_each_fast_gold_line_once(monkeypatch):
+    # The gold parser scans each distinct line for text outside the fast
+    # range.  Where it finds none, CLI `compare`'s walks do not scan the
+    # surfaces again, light's second walk included (roots that end in a
+    # rule's pattern part the engines).  One line decomposed to NFD (ோ is
+    # ே + ா) makes them scan every surface they walk, and the report,
+    # conflict warnings included, stays the same.
+    roots = {
+        "verb": "படி\nஓடு\n",
+        "noun": "மரம்\n"
+        + "".join(f"பட{r.pattern.text}\n" for r in builtin_rules().rules),
+    }
+    generated = "".join(
+        run_cli(["generate", "--paradigm", paradigm], text)[1]
+        for paradigm, text in roots.items()
+    )
+    lines = generated.splitlines(keepends=True)
+    middle = next(
+        i for i in range(len(lines) // 2, len(lines))
+        if unicodedata.normalize("NFD", lines[i]) != lines[i]
+    )
+    mixed = "".join(
+        [*lines[:middle], unicodedata.normalize("NFD", lines[middle]),
+         *lines[middle + 1:]]
+    )
+    bundled = "".join(
+        f"{e.surface.text}\t{e.expected_stem.text}\n"
+        for e in tamilstem.bundled_gold()
+    )
+    counts = collections.Counter()
+    for module in (evaluation, stemmers, graphemes):
+        monkeypatch.setattr(
+            module,
+            "_NOT_FAST_NFC",
+            _CountingPattern(graphemes._NOT_FAST_NFC, counts, module.__name__),
+        )
+    surfaces = {line.split("\t")[0] for line in lines}
+    for fmt in REPORT_FORMATS:
+        argv = ["compare", "--format", fmt]
+        for text in (bundled, generated):
+            counts.clear()
+            assert run_cli(argv, text)[0] == EX_OK
+            assert counts == {"tamilstem.evaluation": len(set(text.splitlines()))}
+        expected = run_cli(argv, generated)
+        counts.clear()
+        assert run_cli(argv, mixed) == expected
+        assert counts["tamilstem.evaluation"] == len(set(mixed.splitlines()))
+        assert counts["tamilstem.stemmers"] > len(surfaces)
 
 
 @pytest.mark.parametrize("trace", [False, True])

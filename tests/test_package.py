@@ -62,8 +62,8 @@ def test_stemming_loads_only_the_engine():
 
 
 def test_the_library_engines_compile_no_letter_count():
-    # Only `stem`'s walk over text counts letters, with patterns that
-    # are compiled on first use.
+    # Only the walk over text counts letters, with patterns that are
+    # compiled on first use.
     out = _fresh(
         "import tamilstem\n"
         "from tamilstem.graphemes import _FIRST_LETTERS\n"
@@ -72,6 +72,40 @@ def test_the_library_engines_compile_no_letter_count():
         "print(len(_FIRST_LETTERS))"
     )
     assert out == "0\n"
+
+
+def test_the_cli_walks_compile_no_letter_count():
+    # The text walk reads the two letters each built-in rule keeps from
+    # two code points, so neither `stem` nor `compare` compiles a count
+    # over the bundled gold or `generate` output of the default roots.
+    out = _fresh(
+        "import io\n"
+        "from tamilstem import cli\n"
+        "from tamilstem.evaluation import bundled_gold\n"
+        "from tamilstem.graphemes import _FIRST_LETTERS\n"
+        "from tamilstem.paradigm import default_roots\n"
+        "def run(argv, text):\n"
+        "    out = io.StringIO()\n"
+        "    assert cli.main(argv, io.StringIO(text), out) == 0\n"
+        "    return out.getvalue()\n"
+        "golds = [''.join(f'{e.surface.text}\\t{e.expected_stem.text}\\n'\n"
+        "                 for e in bundled_gold())]\n"
+        "for paradigm in ('noun', 'verb'):\n"
+        "    roots = ''.join(f'{r.text}\\n' for r, p in default_roots()\n"
+        "                    if p == paradigm)\n"
+        "    golds.append(run(['generate', '--paradigm', paradigm], roots))\n"
+        "stripped = 0\n"
+        "for gold in golds:\n"
+        "    words = ''.join(line.split('\\t')[0] + '\\n'\n"
+        "                    for line in gold.splitlines())\n"
+        "    for algo in ('light', 'strip'):\n"
+        "        for trace in ([], ['--trace']):\n"
+        "            out = run(['stem', '--algo', algo, *trace], words)\n"
+        "            stripped += out.count('\\n# ')\n"
+        "    run(['compare', '--format', 'csv'], gold)\n"
+        "print(stripped > 0, len(_FIRST_LETTERS))"
+    )
+    assert out == "True 0\n"
 
 
 def test_stem_command_loads_only_the_engine():

@@ -5,14 +5,19 @@ import io
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tamilstem
+from tamilstem import rules as rules_module
 from tamilstem.cli import EX_OK, EX_RULE_CONFLICT, main
 from tamilstem.evaluation import GoldError, load_gold
 from tamilstem.graphemes import (
+    _DEPENDENT_SIGNS,
+    _FIRST_LETTERS,
+    _JOINS,
     _NOT_FAST_NFC,
     _joins_previous,
     ends_with,
@@ -28,6 +33,7 @@ from tamilstem.rules import (
     RuleSet,
     SuffixClass,
     SuffixRule,
+    _first_text_match,
     _merges,
     apply_rule,
     builtin_rules,
@@ -37,6 +43,7 @@ from tamilstem.rules import (
     validate_rules,
 )
 from tamilstem.stemmers import (
+    _ALL,
     _LIGHT,
     _PARTICIPLE,
     _PLURAL,
@@ -734,9 +741,10 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
 
 
 # Rule sets for the text walk besides the built-in one: no rules,
-# patterns of one and two code points, Latin patterns, and a merging
+# patterns of one and two code points, Latin patterns, a merging
 # replacement (`லம்` gives way to the vowel sign `ா`), where the text
-# walk hands over to the letter walk.
+# walk hands over to the letter walk, and rules that keep three or four
+# letters, which the text walk counts with `_FIRST_LETTERS`.
 _TEXT_WALK_RULES = (
     "",
     "Case\tஐ\t\t1\t\nVocative\tஏ\t\t1\t\nPlural\tள்\t\t1\t\n",
@@ -744,6 +752,11 @@ _TEXT_WALK_RULES = (
     "Case\ting\t\t1\tPlural\nPlural\ts\t\t1\t\n",
     "Case\tலம்\tா\t2\tPlural\nCase\tஉக்கு\t\t1\tPlural\n"
     "Plural\tங்கள்\tம்\t1\t\n",
+    "Case\ta\t\t3\tPlural\nPlural\tb\t\t3\tCase\nCase\tg\t\t3\tPlural\n"
+    "Plural\ti\t\t3\tCase\nCase\tஉக்கு\t\t3\tPlural\n"
+    "Plural\tகள்\t\t3\tVocative\nVocative\tஏ\t\t3\t\n",
+    "Case\tn\t\t4\tPlural\nPlural\ts\t\t4\tCase\nCase\tz\t\t4\tPlural\n"
+    "Case\tஐ\t\t4\tPlural\nPlural\tங்கள்\tம்\t4\tCase\n",
 )
 # Text the walks must handle: any Tamil-block code point, the zero-width
 # joiners, the four code point pairs NFC joins in the Tamil block, Latin
@@ -767,14 +780,19 @@ _piece = st.one_of(
 @given(
     st.sampled_from([None, *_TEXT_WALK_RULES]),
     st.lists(_piece, max_size=6).map("".join),
+    st.data(),
 )
-def test_no_match_check_is_sound(rules_text, text):
+def test_no_match_check_is_sound(rules_text, text, data):
     """The text walk, whose first probe is ``stem``'s "no rule matches"
     check wherever `_NOT_FAST_NFC` finds nothing, gives the letter walk's
-    stem under every pair of class masks."""
+    stem under every pair of class masks, also where the text ends in
+    one of the rule set's own patterns."""
     rs = builtin_rules() if rules_text is None else parse_rules(rules_text)
+    patterns = [rule.pattern.text for rule in rs.rules]
+    tail = data.draw(st.sampled_from(patterns)) if patterns else ""
     for masks in _MASKS:
-        assert _walk_text(rs, text, masks) == _walk(rs, text, masks).text
+        for token in (text, text + tail):
+            assert _walk_text(rs, token, masks) == _walk(rs, token, masks).text
 
 
 @settings(max_examples=100, derandomize=True)
@@ -819,6 +837,58 @@ def test_the_text_walk_keeps_whole_letters(tmp_path):
     stdin = io.StringIO("காஏ\nஅகாஏ\n")
     assert main(["stem", "--rules", str(path)], stdin, out, io.StringIO()) == EX_OK
     assert out.getvalue() == "காஏ\tகாஏ\nஅகாஏ\tஅகா\n"
+
+
+# Text `_NOT_FAST_NFC` finds nothing in: Tamil-block code points, on
+# their own too (a stray sign), a sign after an independent vowel, the
+# anusvara U+0B82 or a zero-width joiner after a consonant, a consonant
+# with two signs, and ASCII.
+_fast_text = (
+    st.lists(
+        st.one_of(
+            st.integers(0x0B80, 0x0BFF).map(chr),
+            st.sampled_from(
+                ["அ\u0bbe", "ஔ\u0bd7", "க\u0b82", "க\u200d", "க\u200c",
+                 "\u200d", "கி\u0bcd", "க\u0bcd\u0bcd", "ஸ்ரீ"]
+            ),
+            st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+    .map("".join)
+    .filter(lambda text: _NOT_FAST_NFC.search(text) is None)
+)
+
+
+class _CountingLetters:
+    """Stands in for `_FIRST_LETTERS`, recording each count asked for."""
+
+    def __getitem__(self, k):
+        self.asked.append(k)
+        return _FIRST_LETTERS[k]
+
+
+@settings(max_examples=500, derandomize=True)
+@given(_fast_text)
+def test_two_letters_are_read_from_two_code_points(text):
+    """Where ``text[1]``, or ``text[2]`` before the pattern, is outside
+    `_JOINS`, `segment` finds two letters before it.  `_FIRST_LETTERS[2]`
+    agrees with `segment` at every end, and `_first_text_match` asks it
+    only where neither code point settles the count."""
+    assert _DEPENDENT_SIGNS <= _JOINS
+    rs = parse_rules("Case\tz\t\t2\t\n")  # keeps two letters before z
+    letters = _CountingLetters()
+    for end in range(2, len(text) + 1):
+        two = len(segment(text[:end])) >= 2
+        shortcut = text[1] not in _JOINS or (end > 2 and text[2] not in _JOINS)
+        assert two or not shortcut
+        assert bool(_FIRST_LETTERS[2].match(text, 0, end)) == two
+        letters.asked = []
+        with mock.patch.object(rules_module, "_FIRST_LETTERS", letters):
+            found = _first_text_match(rs, text[:end] + "z", _ALL)
+        assert (found is not None) == two
+        assert letters.asked == ([] if shortcut else [2])
 
 
 def test_the_text_walk_probes_no_pattern_longer_than_the_word():
