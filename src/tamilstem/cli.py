@@ -3,7 +3,7 @@
 Subcommands:
 
 - ``stem``            read words from stdin, write ``word<TAB>stem``
-- ``eval``            score one engine against a gold file
+- ``eval``            score one engine: its column of ``compare``'s report
 - ``compare``         score both engines over cumulative chunks
 - ``rules-validate``  lint a rule file, reporting every defect
 - ``generate``        expand roots from stdin into gold-format pairs
@@ -211,22 +211,6 @@ def _load_rules(path: "str | None") -> RuleSet:
         raise _CliError(EX_DATA, f"{path}: {exc}") from None
 
 
-def _read_gold(path, stdin, parse):
-    """Gold data from *path* or *stdin*, parsed by *parse*: `load_gold`
-    or `evaluation._parse_gold`."""
-    from .evaluation import GoldError
-
-    text = _read_file(path) if path is not None else stdin.read()
-    source = path if path is not None else "<stdin>"
-    try:
-        gold = parse(text)
-    except GoldError as exc:
-        raise _CliError(EX_DATA, f"{source}: {exc}") from None
-    if not gold:
-        raise _CliError(EX_DATA, f"{source}: empty gold standard")
-    return gold
-
-
 def _reject_tab(text: str, lineno: int, what: str) -> None:
     """Refuse a *what* with an inner tab: its output line would carry
     more than the two tab-separated fields gold files have."""
@@ -294,35 +278,46 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
     return EX_OK
 
 
-def _cmd_eval(args, stdin, stdout, stderr) -> int:
-    from .evaluation import accuracy, evaluate, format_accuracy, load_gold
+def _score_gold(args, stdin, stderr, chunks=None):
+    """Both engines' `EvalReport` on the ``--gold`` data (or *stdin*)
+    under ``--rules``, over cumulative *chunks* (default: all of it)."""
+    from .evaluation import GoldError, _compare_texts, _parse_gold
 
     rules = _load_rules(args.rules)
-    engine = ENGINES[args.algo]
-    entries = _read_gold(args.gold, stdin, load_gold)
-    n_unique, n_correct = _reporting_warnings(
-        stderr, evaluate, lambda w: engine(w, rules), entries
+    text = _read_file(args.gold) if args.gold is not None else stdin.read()
+    source = args.gold if args.gold is not None else "<stdin>"
+    try:
+        pairs = _parse_gold(text)
+    except GoldError as exc:
+        raise _CliError(EX_DATA, f"{source}: {exc}") from None
+    if not pairs:
+        raise _CliError(EX_DATA, f"{source}: empty gold standard")
+    try:
+        return _reporting_warnings(
+            stderr, _compare_texts, pairs, chunks or [len(pairs)], rules
+        )
+    except ValueError as exc:  # a chunk past the end of the gold
+        raise _CliError(EX_DATA, str(exc)) from None
+
+
+def _cmd_eval(args, stdin, stdout, stderr) -> int:
+    from .evaluation import format_accuracy
+
+    # `--algo`'s column of `compare`'s one-chunk report.
+    (row,) = _score_gold(args, stdin, stderr).rows
+    n_correct = getattr(row, f"n_correct_{args.algo}")
+    accuracy = format_accuracy(getattr(row, f"acc_{args.algo}"))
+    stdout.write(
+        f"n_unique\t{row.n_unique}\nn_correct\t{n_correct}\n"
+        f"accuracy\t{accuracy}\n"
     )
-    print(f"n_unique\t{n_unique}", file=stdout)
-    print(f"n_correct\t{n_correct}", file=stdout)
-    print(f"accuracy\t{format_accuracy(accuracy(n_correct, n_unique))}",
-          file=stdout)
     return EX_OK
 
 
 def _cmd_compare(args, stdin, stdout, stderr) -> int:
-    from .evaluation import _compare_texts, _parse_gold, render
+    from .evaluation import render
 
-    rules = _load_rules(args.rules)
-    # `compare` scores text pairs: it segments no field.
-    pairs = _read_gold(args.gold, stdin, _parse_gold)
-    chunks = args.chunks if args.chunks is not None else [len(pairs)]
-    try:
-        report = _reporting_warnings(
-            stderr, _compare_texts, pairs, chunks, rules
-        )
-    except ValueError as exc:
-        raise _CliError(EX_DATA, str(exc)) from None
+    report = _score_gold(args, stdin, stderr, args.chunks)
     stdout.write(render(report, args.format))
     return EX_OK
 

@@ -17,11 +17,13 @@ the arithmetic mean of the per-chunk accuracies.  Both engines run
 through `stemmers._both`, and no surface after the last chunk is
 stemmed.
 
-One parser, `_parse_gold`, reads gold text.  `load_gold` builds
-`GoldEntry`s from it; ``tamilstem compare`` scores its NFC text pairs
-as they are, through the same path as `compare`, and so segments no
-field.  Where no line needed normalizing, the walks are told so, and
-no surface is scanned again.
+One parser, `_parse_gold`, reads gold text as NFC text pairs.
+`load_gold` builds `GoldEntry`s from them; ``tamilstem eval`` and
+``tamilstem compare`` score them as they are, through the path
+`compare` takes, and so segment no field (``eval`` prints one engine's
+column of the report).  Unless a surface still holds text outside the
+fast range once normalized, the walks are told so, and no surface is
+scanned again.
 """
 
 from __future__ import annotations
@@ -102,62 +104,61 @@ class EvalReport:
 
 
 class _Pairs(list):
-    """Gold text pairs.  *fast* is true where `_NOT_FAST_NFC` found
-    nothing in any of their lines, so the walks need not scan them."""
+    """Gold text pairs.  *fast* is true where `_NOT_FAST_NFC` finds
+    nothing in any of their surfaces, so the walks need not scan them."""
 
     def __init__(self, pairs, fast=False):
         super().__init__(pairs)
         self.fast = fast
 
 
-def _parse_gold(text: str, entry=None) -> list:
-    """One item per data line of gold *text* (``#`` comments and blanks
-    skip): the line's ``(surface, stem)`` NFC text pair, in `_Pairs`,
-    or, given *entry*, ``entry(surface, stem)`` of its stripped fields,
-    which *entry* must normalize, as `word` does.
+def _parse_gold(text: str) -> _Pairs:
+    """One ``(surface, stem)`` NFC text pair per data line of gold
+    *text* (``#`` comments and blanks skip).
 
     Each distinct raw line is parsed once per call, and its repeats
-    share one item.  Each field is a stripped substring of its line, so
+    share one pair.  Each field is a stripped substring of its line, so
     where `_NOT_FAST_NFC` finds nothing in the line, it finds nothing in
     either field, which is already NFC; only the fields of other lines
-    are normalized.  A lone surrogate, the residue of a failed decode,
-    is a `GoldError` at the first line that carries it.
+    are normalized, and the pairs are fast unless a normalized surface
+    still holds text it finds.  A lone surrogate, the residue of a
+    failed decode, is a `GoldError` at the first line that carries it.
     """
-    items = []
-    fast = True  # until a line is normalized
-    parsed = {}  # raw line to its item; only lines that parsed cleanly
+    pairs = []
+    fast = True  # until a normalized surface is not
+    parsed = {}  # raw line to its pair; only lines that parsed cleanly
     for lineno, line in _data_lines(text):
-        item = parsed.get(line)
-        if item is None:
+        pair = parsed.get(line)
+        if pair is None:
             fields = line.strip().split("\t")
             if len(fields) != 2:
                 raise GoldError(
                     lineno,
                     f"expected 2 tab-separated fields, got {len(fields)}",
                 )
-            item = fields[0].strip(), fields[1].strip()
-            try:
-                if entry is not None:
-                    item = entry(*item)
-                elif _NOT_FAST_NFC.search(line) is not None:
-                    item = normalize(item[0]), normalize(item[1])
-                    fast = False
-            except ValueError as exc:  # a lone surrogate from a failed decode
-                raise GoldError(lineno, str(exc)) from None
-            parsed[line] = item
-        items.append(item)
-    return items if entry is not None else _Pairs(items, fast)
+            pair = fields[0].strip(), fields[1].strip()
+            if _NOT_FAST_NFC.search(line) is not None:
+                try:
+                    pair = normalize(pair[0]), normalize(pair[1])
+                except ValueError as exc:  # a lone surrogate
+                    raise GoldError(lineno, str(exc)) from None
+                fast = fast and _NOT_FAST_NFC.search(pair[0]) is None
+            parsed[line] = pair
+        pairs.append(pair)
+    return _Pairs(pairs, fast)
 
 
 def load_gold(text: str) -> list[GoldEntry]:
     """Parse ``surface<TAB>stem`` lines; ``#`` comments and blanks skip.
 
-    Each distinct line is parsed once per call, and its repeats share one
-    (frozen) `GoldEntry`.  Each distinct field text is segmented once per
-    call, and its entries share one `GraphemeWord`.
+    Lines that read as the same NFC text pair share one (frozen)
+    `GoldEntry`, built once per call.  Each distinct field text is
+    segmented once per call, and its entries share one `GraphemeWord`.
     """
+    pairs = _parse_gold(text)
     words = lru_cache(maxsize=None)(word)  # field text to its word
-    return _parse_gold(text, lambda s, t: GoldEntry(words(s), words(t)))
+    entries = {p: GoldEntry(*map(words, p)) for p in dict.fromkeys(pairs)}
+    return [entries[pair] for pair in pairs]
 
 
 def dataset_stats(words: "list[GraphemeWord | str]") -> DatasetStats:

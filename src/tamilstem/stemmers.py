@@ -16,12 +16,13 @@ A caller that returns letters walks letters: ``strip_stem``,
 a word's letters and two class masks, the classes the first rule may
 take and those allowed after each step, or None to follow the rule's
 ``next_classes``.  A caller that needs only the stem's text, such as
-``tamilstem stem`` and ``_both`` (``compare``'s strip and light stems),
-walks text with ``_walk_text``, which hands over to ``_walk`` where the
-text or a step must be segmented.  A walk records its steps only for a
-caller that passes it a list, and only ``strip_stem`` and
-``light_stem`` build a `StemResult`.  All leave unmatched words
-untouched, including non-Tamil input.
+``tamilstem stem`` and ``_both`` (the strip and light stems that
+``tamilstem eval`` and ``compare`` score), walks text with
+``_walk_text``, which hands over to ``_walk`` where the text or a step
+must be segmented.  A walk records its steps only for a caller that
+passes it a list, and only ``strip_stem`` and ``light_stem`` build a
+`StemResult`.  All leave unmatched words untouched, including non-Tamil
+input.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import unicodedata
+import warnings
 
 import pytest
 
@@ -819,12 +820,33 @@ def _count_gold_work(monkeypatch):
     return counts
 
 
+def _spy_letter_paths(monkeypatch, counts):
+    """Count the calls to `load_gold`, `evaluate` and the letter
+    engines, which score gold by segmenting it."""
+    for module, name in (
+        (evaluation, "load_gold"),
+        (evaluation, "evaluate"),
+        (stemmers, "light_stem"),
+        (stemmers, "strip_stem"),
+    ):
+        original = getattr(module, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        if original in stemmers.ENGINES.values():
+            monkeypatch.setitem(stemmers.ENGINES, name.split("_")[0], counting)
+
+
 def test_compare_segments_no_fast_gold_line(monkeypatch):
-    # CLI `compare` scores the text pairs the gold parser reads.  Over
-    # the bundled gold and `generate` output, NFC and in the fast range,
-    # it segments and normalizes nothing and builds no `GoldEntry`.  A
-    # non-NFC line (ெ + ா is ொ; e + combining acute is é) is normalized,
-    # one call per field, and not segmented.
+    # CLI `compare` and `eval` score the text pairs the gold parser
+    # reads.  Over the bundled gold and `generate` output, NFC and in the
+    # fast range, they segment and normalize nothing, build no
+    # `GoldEntry` and reach neither `load_gold`, `evaluate` nor a letter
+    # engine.  A non-NFC line (ெ + ா is ொ; e + combining acute is é) is
+    # normalized, one call per field, and not segmented.
     bundled = "".join(
         f"{e.surface.text}\t{e.expected_stem.text}\n"
         for e in tamilstem.bundled_gold()
@@ -836,24 +858,30 @@ def test_compare_segments_no_fast_gold_line(monkeypatch):
     slow = "மரங்கெ\u0bbeள்\tமரம்\ncafe\u0301s\tcafe\u0301\n"
     texts = (bundled, generated, slow)
     assert not any(graphemes._NOT_FAST_NFC.search(t) for t in texts[:2])
-    argv = ["compare", "--format", "csv"]
-    expected = [run_cli(argv, text) for text in texts]
+    argvs = [["compare", "--format", "csv"]]
+    argvs += [["eval", "--algo", algo] for algo in sorted(ENGINES)]
+    expected = [[run_cli(argv, text) for argv in argvs] for text in texts]
+    load_gold = evaluation.load_gold
     counts = _count_gold_work(monkeypatch)
-    for text, output in zip(texts, expected):
-        counts.clear()
-        assert run_cli(argv, text) == output
-        assert counts == ({"normalize": 4} if text is slow else {})
+    _spy_letter_paths(monkeypatch, counts)
+    for text, outputs in zip(texts, expected):
+        for argv, output in zip(argvs, outputs):
+            counts.clear()
+            assert run_cli(argv, text) == output
+            assert counts == ({"normalize": 4} if text is slow else {})
 
-    # `load_gold` still segments each distinct field text once and
-    # builds one entry per distinct line.
+    # `load_gold` segments each distinct field text once and builds one
+    # entry per distinct pair.  It reads the parser's NFC fields, so the
+    # slow text's fields are normalized once each and none is segmented.
     for text in texts:
         counts.clear()
-        gold = evaluation.load_gold(text)
+        gold = load_gold(text)
         lines = set(text.splitlines())
         fields = {field for line in lines for field in line.split("\t")}
         assert counts["word"] == len(fields)
         assert counts["GoldEntry"] == len(lines) == len(set(gold))
-        assert counts["segment"] == (3 if text is slow else 0)
+        assert counts["segment"] == 0
+        assert counts["normalize"] == (4 if text is slow else 0)
 
 
 class _CountingPattern:
@@ -867,13 +895,31 @@ class _CountingPattern:
         return self.pattern.search(*args)
 
 
+def _library_output(fmt, text):
+    """What CLI `compare --format fmt` should print for gold *text*,
+    from library `compare` over `load_gold`, whose walks scan every
+    surface: (exit code, stdout, stderr)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", evaluation.GoldConflictWarning)
+        gold = tamilstem.load_gold(text)
+        report = tamilstem.compare(gold, [len(gold)])
+    return (
+        EX_OK,
+        tamilstem.render(report, fmt),
+        "".join(f"tamilstem: warning: {w.message}\n" for w in caught),
+    )
+
+
 def test_compare_scans_each_fast_gold_line_once(monkeypatch):
     # The gold parser scans each distinct line for text outside the fast
-    # range.  Where it finds none, CLI `compare`'s walks do not scan the
-    # surfaces again, light's second walk included (roots that end in a
-    # rule's pattern part the engines).  One line decomposed to NFD (ோ is
-    # ே + ா) makes them scan every surface they walk, and the report,
-    # conflict warnings included, stays the same.
+    # range, and a normalized surface once more.  Where it finds none,
+    # CLI `compare`'s walks do not scan the surfaces again, light's
+    # second walk included (roots that end in a rule's pattern part the
+    # engines).  One line decomposed to NFD (ோ is ே + ா) normalizes to
+    # fast text, so they still scan nothing.  A line whose NFC is still
+    # outside that range (Hangul, here given in NFD) makes them scan
+    # every surface they walk.  Reports and stderr, conflict warnings
+    # included, are those of library `compare`.
     roots = {
         "verb": "படி\nஓடு\n",
         "noun": "மரம்\n"
@@ -892,10 +938,19 @@ def test_compare_scans_each_fast_gold_line_once(monkeypatch):
         [*lines[:middle], unicodedata.normalize("NFD", lines[middle]),
          *lines[middle + 1:]]
     )
+    foreign = "".join(
+        [*lines[:middle], unicodedata.normalize("NFD", "가나\t가\n"),
+         *lines[middle:]]
+    )
     bundled = "".join(
         f"{e.surface.text}\t{e.expected_stem.text}\n"
         for e in tamilstem.bundled_gold()
     )
+    expected = {
+        (fmt, text): _library_output(fmt, text)
+        for fmt in REPORT_FORMATS
+        for text in (bundled, generated, mixed, foreign)
+    }
     counts = collections.Counter()
     for module in (evaluation, stemmers, graphemes):
         monkeypatch.setattr(
@@ -904,17 +959,70 @@ def test_compare_scans_each_fast_gold_line_once(monkeypatch):
             _CountingPattern(graphemes._NOT_FAST_NFC, counts, module.__name__),
         )
     surfaces = {line.split("\t")[0] for line in lines}
-    for fmt in REPORT_FORMATS:
-        argv = ["compare", "--format", fmt]
-        for text in (bundled, generated):
-            counts.clear()
-            assert run_cli(argv, text)[0] == EX_OK
-            assert counts == {"tamilstem.evaluation": len(set(text.splitlines()))}
-        expected = run_cli(argv, generated)
+    for (fmt, text), output in expected.items():
         counts.clear()
-        assert run_cli(argv, mixed) == expected
-        assert counts["tamilstem.evaluation"] == len(set(mixed.splitlines()))
-        assert counts["tamilstem.stemmers"] > len(surfaces)
+        assert run_cli(["compare", "--format", fmt], text) == output
+        scans = len(set(text.splitlines()))
+        if text is foreign:
+            assert counts["tamilstem.evaluation"] > scans
+            assert counts["tamilstem.stemmers"] > len(surfaces)
+        else:
+            scans += text is mixed  # the normalized surface
+            assert counts == {"tamilstem.evaluation": scans}
+    assert expected["csv", mixed] == expected["csv", generated]
+
+
+@pytest.mark.parametrize("algo", sorted(ENGINES))
+def test_eval_prints_its_engines_column_of_compare(algo):
+    # `eval`'s three lines carry its engine's columns of `compare`'s
+    # one-row report and what library `evaluate` over `load_gold`, the
+    # letter walk, gives; stderr is `compare`'s.  The golds: roots that
+    # end in a rule's pattern, where the engines part; the bundled gold
+    # decomposed to NFD; a conflicting gold; the bundled gold.
+    roots = "".join(f"பட{r.pattern.text}\n" for r in builtin_rules().rules)
+    parting = "".join(
+        run_cli(["generate", "--paradigm", paradigm], roots)[1]
+        for paradigm in PARADIGMS
+    )
+    bundled = "".join(
+        f"{e.surface.text}\t{e.expected_stem.text}\n"
+        for e in tamilstem.bundled_gold()
+    )
+    golds = (
+        parting,
+        unicodedata.normalize("NFD", bundled),
+        GOLD_TEXT + "பெண்கள்\tபெண்கள்\n",
+        bundled,
+    )
+    columns, errors = [], []
+    for text in golds:
+        code, out, err = run_cli(["eval", "--algo", algo], text)
+        cmp_code, report, cmp_err = run_cli(["compare", "--format", "csv"], text)
+        assert code == cmp_code == EX_OK and err == cmp_err
+        header, row, _avg = report.splitlines()
+        column = dict(zip(header.split(","), row.split(",")))
+        columns.append(column)
+        errors.append(err)
+        assert out == (
+            f"n_unique\t{column['n_unique']}\n"
+            f"n_correct\t{column['correct_' + algo]}\n"
+            f"accuracy\t{column['acc_' + algo]}\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", evaluation.GoldConflictWarning)
+            n_unique, n_correct = tamilstem.evaluate(
+                ENGINES[algo], tamilstem.load_gold(text)
+            )
+        accuracy = evaluation.accuracy(n_correct, n_unique)
+        assert out == (
+            f"n_unique\t{n_unique}\nn_correct\t{n_correct}\n"
+            f"accuracy\t{evaluation.format_accuracy(accuracy)}\n"
+        )
+        assert err == "".join(
+            f"tamilstem: warning: {w.message}\n" for w in caught
+        )
+    assert columns[0]["correct_strip"] != columns[0]["correct_light"]
+    assert errors[2] and not errors[3]
 
 
 @pytest.mark.parametrize("trace", [False, True])
