@@ -26,12 +26,11 @@ import argparse
 import io
 import os
 import sys
-import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from functools import lru_cache
 
 from . import __version__
-from .graphemes import _data_lines, _lines, _packaged_text
+from .graphemes import _data_lines, _lines, _packaged_text, word
 from .rules import (
     RuleConflictError,
     RuleError,
@@ -184,6 +183,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _decode(data: bytes, source: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise _CliError(
+            EX_DATA, f"{source}: line {line}: not valid UTF-8 ({exc.reason})"
+        ) from None
+
+
 def _read_file(path: str) -> str:
     try:
         with open(path, "rb") as handle:
@@ -192,13 +201,7 @@ def _read_file(path: str) -> str:
         raise _CliError(
             EX_NOINPUT, f"cannot read {path}: {exc.strerror or exc}"
         ) from None
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise _CliError(
-            EX_DATA, f"{path}: line {line}: not valid UTF-8 ({exc.reason})"
-        ) from None
+    return _decode(data, path)
 
 
 def _load_rules(path: "str | None") -> RuleSet:
@@ -216,21 +219,6 @@ def _reject_tab(text: str, lineno: int, what: str) -> None:
     more than the two tab-separated fields gold files have."""
     if "\t" in text:
         raise _CliError(EX_DATA, f"<stdin>: line {lineno}: tab inside a {what}")
-
-
-def _reporting_warnings(stderr, score, *args):
-    """``score(*args)``, writing each warning it raises, such as a
-    `GoldConflictWarning`, to *stderr*.  Left to `warnings`, a conflict
-    would go to ``sys.stderr`` with a source line, and only once per
-    process."""
-    from .evaluation import GoldConflictWarning
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", GoldConflictWarning)
-        result = score(*args)
-    for warning in caught:
-        print(f"tamilstem: warning: {warning.message}", file=stderr)
-    return result
 
 
 def _trace_text(steps) -> str:
@@ -280,24 +268,33 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
 
 def _score_gold(args, stdin, stderr, chunks=None):
     """Both engines' `EvalReport` on the ``--gold`` data (or *stdin*)
-    under ``--rules``, over cumulative *chunks* (default: all of it)."""
+    under ``--rules``, over cumulative *chunks* (default: all of it).
+    A gold conflict is written to *stderr*, once per run."""
     from .evaluation import GoldError, _compare_texts, _parse_gold
 
     rules = _load_rules(args.rules)
-    text = _read_file(args.gold) if args.gold is not None else stdin.read()
     source = args.gold if args.gold is not None else "<stdin>"
+    text = _read_file(source) if args.gold is not None else stdin.read()
     try:
-        pairs = _parse_gold(text)
+        pairs, fast = _parse_gold(text)
+        error = None if pairs else "empty gold standard"
     except GoldError as exc:
-        raise _CliError(EX_DATA, f"{source}: {exc}") from None
-    if not pairs:
-        raise _CliError(EX_DATA, f"{source}: empty gold standard")
+        error = exc
+    if error is not None:
+        # Bad stdin bytes, which `entry` decodes to lone surrogates, are
+        # reported first, as `_read_file` reports them in a file.
+        with suppress(UnicodeEncodeError):  # from any other surrogate
+            _decode(text.encode("utf-8", "surrogateescape"), source)
+        raise _CliError(EX_DATA, f"{source}: {error}")
     try:
-        return _reporting_warnings(
-            stderr, _compare_texts, pairs, chunks or [len(pairs)], rules
+        report, conflict = _compare_texts(
+            pairs, chunks or [len(pairs)], rules, fast
         )
     except ValueError as exc:  # a chunk past the end of the gold
-        raise _CliError(EX_DATA, str(exc)) from None
+        raise _CliError(EX_DATA, f"{source}: {exc}") from None
+    if conflict is not None:
+        print(f"tamilstem: warning: {conflict}", file=stderr)
+    return report
 
 
 def _cmd_eval(args, stdin, stdout, stderr) -> int:
@@ -346,7 +343,13 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
         line = raw.strip()
         _reject_tab(line, lineno, "root")
         try:
-            pairs = generate_forms(line, args.paradigm)
+            root = word(line)
+        except ValueError as exc:  # a lone surrogate, from a bad byte
+            raise _CliError(
+                EX_DATA, f"<stdin>: line {lineno}: not valid UTF-8 ({exc})"
+            ) from None
+        try:
+            pairs = generate_forms(root, args.paradigm)
         except ValueError as exc:
             raise _CliError(EX_DATA, f"<stdin>: line {lineno}: {exc}") from None
         for surface, stem in pairs:
@@ -359,8 +362,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
     ``--help`` and ``--version`` write to *stdout* and return 0; a usage
     error writes to *stderr* and returns 64.  While argparse parses, and
-    only then, ``sys.stdout`` and ``sys.stderr`` are redirected: like
-    ``warnings.catch_warnings`` in `_reporting_warnings`, that is
+    only then, ``sys.stdout`` and ``sys.stderr`` are redirected, which is
     process-wide, so `main` is not for concurrent threads.  It may be
     called any number of times in one process, and reuses its parser.
     """

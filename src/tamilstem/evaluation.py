@@ -8,8 +8,9 @@ truncates toward zero to one decimal place, so 85.59… renders as
 
 Gold policy: a surface may appear more than once in the gold, and
 only its first entry is scored.  A later entry of the same surface with
-another expected stem is a conflict; each `evaluate` or `compare` call
-that meets any raises one `GoldConflictWarning` naming them all.
+another expected stem is a conflict.  The scorer returns one
+`GoldConflictWarning` naming them all, which `evaluate` and `compare`
+raise and ``tamilstem eval`` and ``compare`` print.
 
 A comparison report runs both engines over cumulative prefixes of a
 gold sequence ("the first 200 entries, the first 400, …") and appends
@@ -22,8 +23,8 @@ One parser, `_parse_gold`, reads gold text as NFC text pairs.
 ``tamilstem compare`` score them as they are, through the path
 `compare` takes, and so segment no field (``eval`` prints one engine's
 column of the report).  Unless a surface still holds text outside the
-fast range once normalized, the walks are told so, and no surface is
-scanned again.
+fast range once normalized, the parser says so, the walks are told,
+and no surface is scanned again.
 """
 
 from __future__ import annotations
@@ -103,18 +104,11 @@ class EvalReport:
     avg_light: Fraction | None
 
 
-class _Pairs(list):
-    """Gold text pairs.  *fast* is true where `_NOT_FAST_NFC` finds
-    nothing in any of their surfaces, so the walks need not scan them."""
-
-    def __init__(self, pairs, fast=False):
-        super().__init__(pairs)
-        self.fast = fast
-
-
-def _parse_gold(text: str) -> _Pairs:
+def _parse_gold(text: str) -> "tuple[list[tuple[str, str]], bool]":
     """One ``(surface, stem)`` NFC text pair per data line of gold
-    *text* (``#`` comments and blanks skip).
+    *text* (``#`` comments and blanks skip), and whether the pairs are
+    fast: `_NOT_FAST_NFC` finds nothing in any of their surfaces, so the
+    walks need not scan them.
 
     Each distinct raw line is parsed once per call, and its repeats
     share one pair.  Each field is a stripped substring of its line, so
@@ -145,7 +139,7 @@ def _parse_gold(text: str) -> _Pairs:
                 fast = fast and _NOT_FAST_NFC.search(pair[0]) is None
             parsed[line] = pair
         pairs.append(pair)
-    return _Pairs(pairs, fast)
+    return pairs, fast
 
 
 def load_gold(text: str) -> list[GoldEntry]:
@@ -155,7 +149,7 @@ def load_gold(text: str) -> list[GoldEntry]:
     `GoldEntry`, built once per call.  Each distinct field text is
     segmented once per call, and its entries share one `GraphemeWord`.
     """
-    pairs = _parse_gold(text)
+    pairs, _ = _parse_gold(text)
     words = lru_cache(maxsize=None)(word)  # field text to its word
     entries = {p: GoldEntry(*map(words, p)) for p in dict.fromkeys(pairs)}
     return [entries[pair] for pair in pairs]
@@ -193,18 +187,16 @@ def format_accuracy(value: Rational) -> str:
     return f"{'-' if tenths < 0 else ''}{whole}.{tenth}"
 
 
-def _score(
-    pairs, stems, engines, boundaries, stacklevel
-) -> "list[tuple[int, ...]]":
-    """Score gold text *pairs* in one pass under the gold policy,
-    recording ``(n_words, n_unique, *correct)`` at each of *boundaries*:
-    the counts so far, one correct count per engine.
+def _score(pairs, stems, engines, boundaries):
+    """Score gold text *pairs* in one pass under the gold policy, as
+    ``(points, conflict)``: ``(n_words, n_unique, *correct)`` at each of
+    *boundaries* (the counts so far, one correct count per engine), and
+    an unraised `GoldConflictWarning` naming every conflict, or None.
 
     *stems* maps a surface text to its stem texts under each of
     *engines* engines.  It runs on the first entry of each surface up to
     the last boundary only; the conflict scan goes on to the end of
-    *pairs*.  The conflict warning points *stacklevel* frames up, as
-    `warnings.warn` counts them from here.
+    *pairs*.
     """
     first: dict[str, str] = {}  # surface text to its expected stem text
     conflicts = set()
@@ -224,18 +216,16 @@ def _score(
             conflicts.add(surface)
         if position in ends:
             points.append((position, len(first), *correct))
-    if conflicts:
-        warnings.warn(
-            "conflicting expected stems for duplicated surfaces "
-            f"(first occurrence wins): {', '.join(sorted(conflicts))}",
-            GoldConflictWarning,
-            stacklevel=stacklevel,
-        )
-    return points
+    if not conflicts:
+        return points, None
+    return points, GoldConflictWarning(
+        "conflicting expected stems for duplicated surfaces "
+        f"(first occurrence wins): {', '.join(sorted(conflicts))}"
+    )
 
 
-def _texts(gold: "list[GoldEntry]") -> _Pairs:
-    return _Pairs((e.surface.text, e.expected_stem.text) for e in gold)
+def _texts(gold: "list[GoldEntry]") -> "list[tuple[str, str]]":
+    return [(e.surface.text, e.expected_stem.text) for e in gold]
 
 
 def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
@@ -244,13 +234,14 @@ def evaluate(stemmer, gold: "list[GoldEntry]") -> tuple[int, int]:
         raise ValueError("empty gold standard: nothing to evaluate")
     # The stemmer takes each surface's first `GraphemeWord`.
     words = {e.surface.text: e.surface for e in reversed(gold)}
-    ((_, n_unique, n_correct),) = _score(
+    ((_, n_unique, n_correct),), conflict = _score(
         _texts(gold),
         lambda text: (stemmer(words[text]).stem.text,),
         1,
         [len(gold)],
-        stacklevel=3,
     )
+    if conflict is not None:
+        warnings.warn(conflict, stacklevel=2)
     return n_unique, n_correct
 
 
@@ -265,14 +256,16 @@ def compare(
     Row k covers the first ``chunk_sizes[k]`` entries under the gold
     policy, so unique counts are non-decreasing across rows.
     """
-    return _compare_texts(_texts(gold), chunk_sizes, rules, stacklevel=4)
+    report, conflict = _compare_texts(_texts(gold), chunk_sizes, rules)
+    if conflict is not None:
+        warnings.warn(conflict, stacklevel=2)
+    return report
 
 
-def _compare_texts(
-    pairs: _Pairs, chunk_sizes, rules, stacklevel=3
-) -> EvalReport:
-    """`compare` over gold text *pairs*, as `_parse_gold` reads them.  A
-    conflict warning points *stacklevel* frames up from `_score`."""
+def _compare_texts(pairs, chunk_sizes, rules, fast=False):
+    """`compare` over gold text *pairs* and their *fast*, as
+    `_parse_gold` returns them: ``(report, conflict)``, with *conflict*
+    as `_score` returns it."""
     sizes = list(chunk_sizes)
     for previous, size in zip([0, *sizes], sizes):
         if size < 1:
@@ -283,12 +276,10 @@ def _compare_texts(
             raise ValueError(
                 f"chunk size {size} exceeds gold length {len(pairs)}"
             )
-    if pairs.fast:  # the walks need not scan what the parser has
-        stems = lambda text: _both(rules, text, True)
-    else:
-        stems = lambda text: _both(rules, text)
-    points = _score(pairs, stems, 2, sizes, stacklevel)
-    return _report([_row(*point) for point in points])
+    points, conflict = _score(
+        pairs, lambda text: _both(rules, text, fast), 2, sizes
+    )
+    return _report([_row(*point) for point in points]), conflict
 
 
 def _row(

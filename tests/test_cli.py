@@ -1085,6 +1085,117 @@ def test_conflict_warning_goes_to_the_given_stderr_on_every_run(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_cli_gold_path_leaves_warnings_alone(monkeypatch, command):
+    # The scorer hands its conflict back, and the CLI prints it: neither
+    # `warnings.warn` nor `warnings.catch_warnings` is called, so a
+    # warnings filter changes nothing.
+    conflicting = GOLD_TEXT + "பெண்கள்\tபெண்கள்\n"
+    calls = []
+
+    def spy(name):
+        real = getattr(warnings, name)
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return recording
+
+    with monkeypatch.context() as patched:
+        for name in ("warn", "catch_warnings"):
+            patched.setattr(warnings, name, spy(name))
+        code, out, err = run_cli([command], conflicting)
+    assert (code, calls) == (EX_OK, [])
+    assert err == (
+        "tamilstem: warning: conflicting expected stems for duplicated "
+        "surfaces (first occurrence wins): பெண்கள்\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([command], conflicting) == (EX_OK, out, err)
+        gold = tamilstem.load_gold(conflicting)
+        with pytest.raises(evaluation.GoldConflictWarning, match="பெண்கள்"):
+            tamilstem.compare(gold, [len(gold)])
+
+
+_UNDECODABLE_GOLD = "பெண்கள்\tபெண்\n".encode() + b"\xff\t\xe0\xae\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_undecodable_gold_reads_the_same_on_stdin_and_in_a_file(
+    tmp_path, command
+):
+    path = tmp_path / "gold.tsv"
+    path.write_bytes(_UNDECODABLE_GOLD)
+    proc = run_entry([command], _UNDECODABLE_GOLD, "utf-8")
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout, err) == (
+        EX_DATA,
+        b"",
+        "tamilstem: error: <stdin>: line 2: not valid UTF-8 "
+        "(invalid start byte)\n",
+    )
+    assert run_cli([command, "--gold", str(path)]) == (
+        EX_DATA, "", err.replace("<stdin>", str(path))
+    )
+    # In process, on the text `entry` would have read.
+    text = _UNDECODABLE_GOLD.decode("utf-8", "surrogateescape")
+    assert run_cli([command], text) == (EX_DATA, "", err)
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_stdin_gold_is_checked_for_bad_bytes_before_its_lines(
+    tmp_path, command
+):
+    # A file is decoded before it is parsed, so its first bad byte is
+    # reported even after a malformed line; stdin gold gets the same
+    # message.  A surrogate that no byte escapes to keeps the parser's.
+    path = tmp_path / "gold.tsv"
+    for data, expected in (
+        (b"one field\n" + _UNDECODABLE_GOLD,
+         "line 3: not valid UTF-8 (invalid start byte)"),
+        (b"# \xff\n", "line 1: not valid UTF-8 (invalid start byte)"),
+    ):
+        path.write_bytes(data)
+        text = data.decode("utf-8", "surrogateescape")
+        for source, argv in (("<stdin>", []), (str(path), ["--gold", str(path)])):
+            assert run_cli([command, *argv], text) == (
+                EX_DATA, "", f"tamilstem: error: {source}: {expected}\n"
+            )
+    assert run_cli([command], "மரம்\tமரம்\nக\ud800\tக\n") == (
+        EX_DATA,
+        "",
+        "tamilstem: error: <stdin>: line 2: malformed text: lone surrogate "
+        "at offset 1\n",
+    )
+
+
+def test_undecodable_generate_root_reads_as_stem_reports_it():
+    data = "படி\n".encode() + b"\xff\n"
+    generated = run_entry(["generate", "--paradigm", "verb"], data, "utf-8")
+    stemmed = run_entry(["stem"], data, "utf-8")
+    err = generated.stderr.decode()
+    assert generated.returncode == stemmed.returncode == EX_DATA
+    assert err == stemmed.stderr.decode() == (
+        "tamilstem: error: <stdin>: line 2: not valid UTF-8 "
+        "(malformed text: lone surrogate at offset 0)\n"
+    )
+    expected = run_cli(["generate", "--paradigm", "verb"], "படி\n")[1]
+    assert generated.stdout.decode() == expected
+
+
+def test_chunk_past_the_end_names_the_gold_source(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("a\tb\n", encoding="utf-8")
+    for source, argv in (("<stdin>", []), (str(path), ["--gold", str(path)])):
+        assert run_cli(["compare", "--chunks", "2", *argv], "a\tb\n") == (
+            EX_DATA,
+            "",
+            f"tamilstem: error: {source}: chunk size 2 exceeds gold length 1\n",
+        )
+
+
 def test_version_goes_to_the_given_stdout(capsys):
     streams = sys.stdout, sys.stderr
     out = f"tamilstem {tamilstem.__version__}\n"
