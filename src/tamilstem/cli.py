@@ -336,24 +336,28 @@ def _cmd_rules_validate(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_generate(args, stdin, stdout, stderr) -> int:
-    from .paradigm import generate_forms
+    """Write the gold lines of each root's forms.  A root is read with
+    `word` once, and its forms are joined as text from the table
+    `generate_forms` joins as letters (see `paradigm._gold_lines`)."""
+    from .paradigm import _gold_lines
+
+    def bad_byte(lineno, message):
+        return _CliError(
+            EX_DATA, f"<stdin>: line {lineno}: not valid UTF-8 ({message})"
+        )
 
     write = stdout.write
-    for lineno, raw in _data_lines(stdin):
+    for lineno, raw in _data_lines(stdin, bad_byte):
         line = raw.strip()
         _reject_tab(line, lineno, "root")
         try:
             root = word(line)
         except ValueError as exc:  # a lone surrogate, from a bad byte
-            raise _CliError(
-                EX_DATA, f"<stdin>: line {lineno}: not valid UTF-8 ({exc})"
-            ) from None
+            raise bad_byte(lineno, exc) from None
         try:
-            pairs = generate_forms(root, args.paradigm)
+            write(_gold_lines(root, args.paradigm))
         except ValueError as exc:
             raise _CliError(EX_DATA, f"<stdin>: line {lineno}: {exc}") from None
-        for surface, stem in pairs:
-            write(f"{surface.text}\t{stem.text}\n")
     return EX_OK
 
 

@@ -116,12 +116,13 @@ def _parse_gold(text: str) -> "tuple[list[tuple[str, str]], bool]":
     either field, which is already NFC; only the fields of other lines
     are normalized, and the pairs are fast unless a normalized surface
     still holds text it finds.  A lone surrogate, the residue of a
-    failed decode, is a `GoldError` at the first line that carries it.
+    failed decode, is a `GoldError` at the first line that carries it,
+    a comment line too.
     """
     pairs = []
     fast = True  # until a normalized surface is not
     parsed = {}  # raw line to its pair; only lines that parsed cleanly
-    for lineno, line in _data_lines(text):
+    for lineno, line in _data_lines(text, GoldError):
         pair = parsed.get(line)
         if pair is None:
             fields = line.strip().split("\t")

@@ -276,9 +276,20 @@ def _lines(source):
         yield from enumerate(lines, start=2)
 
 
-def _data_lines(source):
-    """`_lines` without the blank lines and ``#`` comments."""
+def _data_lines(source, bad_comment=None):
+    """`_lines` without the blank lines and ``#`` comments.
+
+    Given *bad_comment*, a comment that carries a lone surrogate, the
+    residue of a failed decode, raises ``bad_comment(lineno, message)``,
+    as a data line carrying one would be reported.  Only comments are
+    checked.
+    """
     for lineno, line in _lines(source):
         text = line.lstrip()
         if text and text[0] != "#":
             yield lineno, line
+        elif text and bad_comment is not None:
+            try:
+                normalize(line)
+            except ValueError as exc:
+                raise bad_comment(lineno, str(exc)) from None

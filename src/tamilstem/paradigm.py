@@ -10,16 +10,22 @@ Nouns whose final letter is the bare consonant ``ம்`` ("m-final" nouns
 like மரம்) swap that letter for ``ங்கள்`` in the plural and for ``த்``
 before the locative ``இல்``; all other nouns take plain ``கள்``.
 
-A form is built by joining letters, never by segmenting text: its
-letters are the base's letters followed by the ending's, and its text is
-the base's text followed by the ending's.  Each ending is segmented once,
-on first use.  This is exact because every ending starts with a Tamil
-consonant or independent vowel.  Such a code point is NFC-stable, has
-combining class 0 and is never the second half of a composition, so NFC
-of base plus ending is the NFC base plus the ending; and it is no mark
-or joiner, so the base's last letter cannot absorb it.  The m-final
-bases drop the root's last letter, ``ம்``, which starts with a consonant
-too, so the same holds for them.
+Each table is described once, in `_CELLS`, as cells: a cell says
+whether the form keeps the root or drops its final ``ம்``, and gives the
+ending text, such as ``ங்கள்`` + ``ஐ`` as one ending.  Both builders
+join forms from it, and neither segments a form.  `generate_forms`
+(with `plural_base` and `build_corpus`) joins letters: a form's
+letters are its base's letters followed by the ending's, and its text
+is the base's text followed by the ending's; each ending is segmented
+once, on first use.  ``tamilstem generate`` joins only text, the
+root's (or the root's without its ``ம்``) followed by the ending, and
+builds no letters.  This is exact because every ending starts with a
+Tamil consonant or independent vowel.  Such a code point is
+NFC-stable, has combining class 0 and is never the second half of a
+composition, so NFC of base plus ending is the NFC base plus the
+ending; and it is no mark or joiner, so the base's last letter cannot
+absorb it.  The m-final bases drop the root's last letter, ``ம்``,
+which starts with a consonant too, so the same holds for them.
 """
 
 from __future__ import annotations
@@ -66,61 +72,97 @@ def is_m_final(root: GraphemeWord | str) -> bool:
     return bool(w) and w.graphemes[-1] == _M_FINAL
 
 
+# A cell of a table is one form: ``(drop, ending)``, the root, without
+# its final ``ம்`` where *drop*, followed by the *ending* text.  The
+# plural cell of each noun table is its plural base.
+_PLURAL_CELL = {False: (False, _PLURAL), True: (True, _M_PLURAL)}
+
+
+def _declension(m_final: bool) -> tuple[tuple[bool, str], ...]:
+    """The 18 cells of a noun table: each number's base, alone and with
+    each shared case ending, the locative, the ablative and the
+    vocative.  An m-final noun's singular locative rides on the oblique
+    base (marath-il), not the nominative."""
+    if m_final:
+        oblique, loc, abl = (True, _OBLIQUE), _LOC_PLAIN, _ABL_PLAIN
+    else:
+        oblique, loc, abl = (False, ""), _LOC_ANIMATE, _ABL_ANIMATE
+    plural = _PLURAL_CELL[m_final]
+    cells = []
+    for (drop, base), (loc_drop, loc_base) in (
+        ((False, ""), oblique),
+        (plural, plural),
+    ):
+        cells.append((drop, base))
+        cells += [(drop, base + ending) for ending in _SHARED_CASES]
+        cells.append((loc_drop, loc_base + loc))
+        cells += [(drop, base + ending) for ending in (abl, _VOCATIVE)]
+    return tuple(cells)
+
+
+def _one_base(cells):
+    """*cells* as ``(drop, endings)``, every form one base followed by
+    one of *endings*: the root without its final ``ம்`` where *drop*,
+    that is where any cell drops it, and each keeping cell's ending then
+    starts with the ``ம்``."""
+    drop = any(d for d, _ in cells)
+    return drop, tuple(
+        ("" if d or not drop else _M_FINAL) + ending for d, ending in cells
+    )
+
+
+# Each paradigm's cells, by paradigm and whether the root is m-final:
+# the one description of each table, which `generate_forms` joins as
+# letters and `_gold_lines` as text, over one base.
+_VERB = tuple(
+    (False, ending)
+    for series in (_PAST, _PRESENT, _FUTURE, _NEGATIVE)
+    for ending in series
+)
+_CELLS = {
+    ("noun", False): _declension(False),
+    ("noun", True): _declension(True),
+    ("verb", False): _VERB,
+    ("verb", True): _VERB,
+}
+_ONE_BASE = {table: _one_base(cells) for table, cells in _CELLS.items()}
+PARADIGMS = ("noun", "verb")
+
+
+def _table(root: GraphemeWord, paradigm: str) -> tuple[str, bool]:
+    """The key of *root*'s table under *paradigm* in `_CELLS`."""
+    if len(root) < 2:
+        raise ValueError(
+            f"root too short: need at least 2 letters, got {root.text!r}"
+        )
+    if paradigm not in PARADIGMS:
+        raise ValueError(f"unknown paradigm: {paradigm!r}")
+    return paradigm, root.graphemes[-1] == _M_FINAL
+
+
 @lru_cache(maxsize=None)
 def _ending(text: str) -> GraphemeWord:
-    """The letters of one of this module's endings, segmented once."""
+    """The letters of one of the tables' endings, segmented once."""
     return word(text)
 
 
-def _join(base: GraphemeWord, ending: str) -> GraphemeWord:
-    """*base* followed by *ending*, joined letter by letter (exact: see
+def _join(root: GraphemeWord, cell: tuple[bool, str]) -> GraphemeWord:
+    """The form of *cell* for *root*, joined letter by letter (exact: see
     the module docstring)."""
+    drop, ending = cell
     tail = _ending(ending)
-    return GraphemeWord(base.graphemes + tail.graphemes, base.text + tail.text)
-
-
-def _m_stem(root: GraphemeWord) -> GraphemeWord:
-    """An m-final *root* without its final ``ம்``."""
-    return GraphemeWord(root.graphemes[:-1], root.text[: -len(_M_FINAL)])
+    if drop:
+        return GraphemeWord(
+            root.graphemes[:-1] + tail.graphemes,
+            root.text[: -len(_M_FINAL)] + tail.text,
+        )
+    return GraphemeWord(root.graphemes + tail.graphemes, root.text + tail.text)
 
 
 def plural_base(root: GraphemeWord | str) -> GraphemeWord:
     """The noun base that plural case forms attach to."""
     w = _as_word(root)
-    if is_m_final(w):
-        return _join(_m_stem(w), _M_PLURAL)
-    return _join(w, _PLURAL)
-
-
-def _noun_forms(root: GraphemeWord) -> list[GraphemeWord]:
-    if is_m_final(root):
-        # The singular locative rides on the oblique base (marath-il),
-        # not the nominative.
-        oblique = _join(_m_stem(root), _OBLIQUE)
-        loc, abl = _LOC_PLAIN, _ABL_PLAIN
-    else:
-        oblique, loc, abl = root, _LOC_ANIMATE, _ABL_ANIMATE
-    plural = plural_base(root)
-    forms = []
-    for base, loc_base in ((root, oblique), (plural, plural)):
-        forms.append(base)
-        forms.extend(_join(base, ending) for ending in _SHARED_CASES)
-        forms.append(_join(loc_base, loc))
-        forms.extend(_join(base, ending) for ending in (abl, _VOCATIVE))
-    return forms
-
-
-def _verb_forms(root: GraphemeWord) -> list[GraphemeWord]:
-    return [
-        _join(root, ending)
-        for series in (_PAST, _PRESENT, _FUTURE, _NEGATIVE)
-        for ending in series
-    ]
-
-
-# Each paradigm's name and the function that builds its table.
-_FORMS = {"noun": _noun_forms, "verb": _verb_forms}
-PARADIGMS = tuple(_FORMS)
+    return _join(w, _PLURAL_CELL[is_m_final(w)])
 
 
 def generate_forms(
@@ -134,13 +176,18 @@ def generate_forms(
     recovered once a suffix is attached.
     """
     w = _as_word(root)
-    if len(w) < 2:
-        raise ValueError(
-            f"root too short: need at least 2 letters, got {w.text!r}"
-        )
-    if paradigm not in PARADIGMS:
-        raise ValueError(f"unknown paradigm: {paradigm!r}")
-    return [(s, w) for s in _FORMS[paradigm](w)]
+    return [(_join(w, cell), w) for cell in _CELLS[_table(w, paradigm)]]
+
+
+def _gold_lines(root: GraphemeWord, paradigm: str) -> str:
+    """The ``surface<TAB>root`` line of each form `generate_forms` builds
+    for *root*, joined as text (exact: see the module docstring): each
+    of the table's endings between its one base and the line's tail."""
+    drop, endings = _ONE_BASE[_table(root, paradigm)]
+    text = root.text
+    base = text[: -len(_M_FINAL)] if drop else text
+    tail = f"\t{text}\n"
+    return base + (tail + base).join(endings) + tail
 
 
 def load_roots(text: str) -> list[tuple[GraphemeWord, str]]:

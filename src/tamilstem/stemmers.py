@@ -245,18 +245,21 @@ def _both(rules: RuleSet | None, text: str, fast=False) -> tuple[str, str]:
     While each of strip's steps takes a class in the previous rule's
     ``next_classes``, light takes the same steps: both probe the same
     index in the same order, and light allows a subset of strip's
-    classes.  If all of strip's steps do, both stems are the same
-    text.  Past the first that does not, light has stopped or parted
-    ways, so it walks the text again.  Both walks take *fast* as
-    `_walk_text` does.
+    classes.  So with fewer than two steps, and where all of strip's
+    steps from the second on do, both stems are the same text.  Past the
+    first that does not, light has stopped or parted ways, so it walks
+    the text again.  Both walks take *fast* as `_walk_text` does.
     """
     if rules is None:
         rules = builtin_rules()
     steps: list[tuple[SuffixRule, str]] = []
     strip = _walk_text(rules, text, _STRIP, steps, fast)
-    for (prev, _), (rule, _) in zip(steps, steps[1:]):
-        if rule.klass not in prev.next_classes:
-            return strip, _walk_text(rules, text, _LIGHT, None, fast)
+    if len(steps) > 1:
+        prev = steps[0][0]
+        for rule, _ in steps[1:]:
+            if rule.klass not in prev.next_classes:
+                return strip, _walk_text(rules, text, _LIGHT, None, fast)
+            prev = rule
     return strip, strip
 
 

@@ -25,7 +25,7 @@ from tamilstem.cli import (
     main,
 )
 from tamilstem.evaluation import REPORT_FORMATS
-from tamilstem.paradigm import PARADIGMS, build_corpus
+from tamilstem.paradigm import PARADIGMS, build_corpus, default_roots
 from tamilstem.rules import builtin_rules, parse_rules
 from tamilstem.stemmers import ENGINES
 
@@ -789,6 +789,37 @@ def test_compare_builds_no_stem_result(monkeypatch):
     assert built["StemStep"] and built["StemResult"]
 
 
+def test_generate_builds_one_word_per_root_line(monkeypatch):
+    # CLI `generate` reads each root with `word`, and joins its forms as
+    # text from the table `generate_forms` joins as letters: it builds
+    # one `GraphemeWord` per root line and none per form.
+    roots = "".join(f"{root.text}\n" for root, _ in default_roots())
+    expected = {
+        paradigm: "".join(
+            f"{surface.text}\t{stem.text}\n"
+            for root, _ in default_roots()
+            for surface, stem in tamilstem.generate_forms(root, paradigm)
+        )
+        for paradigm in PARADIGMS
+    }
+    built = collections.Counter()
+
+    def counting(self, *fields, original=graphemes.GraphemeWord.__init__):
+        built["GraphemeWord"] += 1
+        original(self, *fields)
+
+    monkeypatch.setattr(graphemes.GraphemeWord, "__init__", counting)
+    for paradigm in PARADIGMS:
+        built.clear()
+        argv = ["generate", "--paradigm", paradigm]
+        assert run_cli(argv, roots) == (EX_OK, expected[paradigm], "")
+        assert built == {"GraphemeWord": roots.count("\n")}
+    # The counter does see the forms `generate_forms` builds.
+    built.clear()
+    tamilstem.generate_forms("படி", "verb")
+    assert built == {"GraphemeWord": 1 + 41}
+
+
 def _count_gold_work(monkeypatch):
     """Count the `word`, `segment` and `normalize` calls and the
     `GoldEntry`s that reading and scoring gold make."""
@@ -1149,13 +1180,15 @@ def test_stdin_gold_is_checked_for_bad_bytes_before_its_lines(
     tmp_path, command
 ):
     # A file is decoded before it is parsed, so its first bad byte is
-    # reported even after a malformed line; stdin gold gets the same
-    # message.  A surrogate that no byte escapes to keeps the parser's.
+    # reported even after a malformed line or in a comment; stdin gold
+    # gets the same message.  A surrogate that no byte escapes to keeps
+    # the parser's.
     path = tmp_path / "gold.tsv"
     for data, expected in (
         (b"one field\n" + _UNDECODABLE_GOLD,
          "line 3: not valid UTF-8 (invalid start byte)"),
         (b"# \xff\n", "line 1: not valid UTF-8 (invalid start byte)"),
+        (b"# \xff\na\tb\n", "line 1: not valid UTF-8 (invalid start byte)"),
     ):
         path.write_bytes(data)
         text = data.decode("utf-8", "surrogateescape")
@@ -1183,6 +1216,123 @@ def test_undecodable_generate_root_reads_as_stem_reports_it():
     )
     expected = run_cli(["generate", "--paradigm", "verb"], "படி\n")[1]
     assert generated.stdout.decode() == expected
+
+
+def _tamilstem(argv, stdin, stdout):
+    """Start ``python -B -m tamilstem`` with *argv* in a fresh
+    interpreter, reading *stdin* and writing *stdout*; stderr is
+    dropped."""
+    return subprocess.Popen(
+        [sys.executable, "-B", "-m", "tamilstem", *argv],
+        stdin=stdin,
+        stdout=stdout,
+        stderr=subprocess.DEVNULL,
+        env=_entry_env("utf-8"),
+    )
+
+
+def test_compare_agrees_with_eval_where_the_engines_part(tmp_path):
+    # `compare` walks each surface's text once for both engines, and
+    # walks light again only where they part; `eval` prints one engine's
+    # column of that report.  On the confusable-root slice (`பட` plus
+    # each built-in pattern, in both paradigms) the engines part on most
+    # surfaces, and the last `compare --format csv` row before `avg`
+    # carries the counts and accuracy `eval` prints for each engine.
+    # Both commands read the `generate` output from a file and over a
+    # real pipe straight from `generate`.
+    roots = tmp_path / "roots"
+    patterns = {rule.pattern.text for rule in builtin_rules().rules}
+    roots.write_text(
+        "".join(sorted(f"பட{pattern}\n" for pattern in patterns)),
+        encoding="utf-8",
+    )
+    gold = tmp_path / "gold"
+
+    def generate(out):
+        for paradigm in PARADIGMS:
+            argv = ["generate", "--paradigm", paradigm]
+            with open(roots, "rb") as stdin:
+                assert _tamilstem(argv, stdin, out).wait(timeout=60) == EX_OK
+
+    with open(gold, "wb") as out:
+        generate(out)
+
+    def output(argv):
+        """*argv*'s stdout on the gold file, the same as piped from
+        `generate`."""
+        with open(gold, "rb") as stdin:
+            proc = _tamilstem(argv, stdin, subprocess.PIPE)
+            from_file = proc.communicate(timeout=60)[0]
+        assert proc.returncode == EX_OK
+        proc = _tamilstem(argv, subprocess.PIPE, subprocess.PIPE)
+        generate(proc.stdin)
+        assert proc.communicate(timeout=60)[0] == from_file  # closes stdin
+        assert proc.returncode == EX_OK
+        return from_file.decode()
+
+    row = output(["compare", "--format", "csv"]).splitlines()[-2]
+    _, n_unique, strip, strip_acc, light, light_acc = row.split(",")
+    assert strip != light
+    for algo, n_correct, acc in (
+        ("strip", strip, strip_acc),
+        ("light", light, light_acc),
+    ):
+        assert output(["eval", "--algo", algo]) == (
+            f"n_unique\t{n_unique}\nn_correct\t{n_correct}\naccuracy\t{acc}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv,data,before,message",
+    [
+        pytest.param(
+            [command],
+            "மரம்\tமரம்\n".encode() + b"\xff\tx\n",
+            "",
+            "line 2: not valid UTF-8 (invalid start byte)",
+            id=command,
+        )
+        for command in ("eval", "compare")
+    ]
+    + [
+        pytest.param(
+            [command],
+            b"# \xff\n" + "மரம்\tமரம்\n".encode(),
+            "",
+            "line 1: not valid UTF-8 (invalid start byte)",
+            id=f"{command}-comment",
+        )
+        for command in ("eval", "compare")
+    ]
+    + [
+        pytest.param(
+            ["generate", "--paradigm", "verb"],
+            "படி\n".encode() + b"\xff\n",
+            "படி\n",
+            "line 2: not valid UTF-8 "
+            "(malformed text: lone surrogate at offset 0)",
+            id="generate",
+        ),
+        pytest.param(
+            ["generate", "--paradigm", "verb"],
+            "படி\n".encode() + b"# \xff\n" + "மரம்\n".encode(),
+            "படி\n",
+            "line 2: not valid UTF-8 "
+            "(malformed text: lone surrogate at offset 2)",
+            id="generate-comment",
+        ),
+    ],
+)
+def test_undecodable_gold_and_roots_on_stdin(argv, data, before, message):
+    # An undecodable byte in gold data or roots read from stdin, in a
+    # comment line too, exits 65, names its line and says the input is
+    # not valid UTF-8, as a `--gold` file does.  `generate` has written
+    # the output of the lines *before* it.
+    out = run_cli(argv, before)[1]
+    proc = run_entry(argv, data, "utf-8", launch=("-B", "-m", "tamilstem"))
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+        EX_DATA, out, f"tamilstem: error: <stdin>: {message}\n"
+    )
 
 
 def test_chunk_past_the_end_names_the_gold_source(tmp_path):

@@ -1,9 +1,12 @@
 """Inflection table generation."""
 
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamilstem import paradigm
+from tamilstem.cli import EX_DATA, EX_OK, main
 from tamilstem.graphemes import (
     _CONSONANTS,
     _INDEPENDENT_VOWELS,
@@ -222,3 +225,45 @@ def test_property_joined_forms_match_the_text_oracle(root, m_final, kind):
         return
     assert generate_forms(root, kind) == expected
     assert generate_forms(word(root), kind) == expected
+
+
+def _generate(kind, text):
+    """``tamilstem generate --paradigm kind`` on stdin *text*, in
+    process: its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = ["generate", "--paradigm", kind]
+    code = main(argv, io.StringIO(text), stdout, stderr)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _gold_text(pairs):
+    return "".join(f"{s.text}\t{r.text}\n" for s, r in pairs)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.lists(st.sampled_from(_ROOT_PIECES), min_size=1, max_size=8).map(
+        "".join
+    ),
+    st.sampled_from(["", "ம்"]),
+    st.sampled_from(PARADIGMS),
+)
+def test_property_cli_generate_joins_the_text_oracle(root, m_final, kind):
+    # CLI `generate` joins text from the table `generate_forms` joins as
+    # letters.  Its lines are those of the text oracle, and a root that
+    # is too short or undecodable fails at its own line number, after
+    # the lines of the root before it.
+    root += m_final
+    first = _gold_text(_text_forms("படி", kind))
+    try:
+        forms = _text_forms(root, kind)
+    except ValueError as exc:
+        message = str(exc)
+        if "surrogate" in message:
+            message = f"not valid UTF-8 ({message})"
+        error = f"tamilstem: error: <stdin>: line 3: {message}\n"
+        expected = (EX_DATA, first, error)
+    else:
+        assert _gold_text(generate_forms(root, kind)) == _gold_text(forms)
+        expected = (EX_OK, first + _gold_text(forms), "")
+    assert _generate(kind, f"படி\n# a root\n{root}\n") == expected
