@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         (
-            "DatasetStats",
             "EvalReport",
             "EvalRow",
             "GoldConflictWarning",
@@ -32,12 +31,10 @@ _LAZY = {
             "accuracy",
             "bundled_gold",
             "compare",
-            "dataset_stats",
             "evaluate",
             "extra_gold",
             "format_accuracy",
             "load_gold",
-            "parse_report_csv",
             "render",
         ),
         "evaluation",

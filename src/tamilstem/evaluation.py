@@ -1,4 +1,4 @@
-"""Gold-standard evaluation: dataset statistics, accuracy, and reports.
+"""Gold-standard evaluation: accuracy and reports.
 
 Accuracy is the fraction of distinct surface forms whose computed stem
 matches the expected stem exactly, expressed as a percentage.  Values
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _data_lines
+from .graphemes import _NOT_FAST_NFC, GraphemeWord, _data_lines
 from .graphemes import _packaged_text, _record, normalize, word
 from .paradigm import build_corpus
 from .rules import RuleSet
@@ -71,16 +71,6 @@ class GoldEntry:
 
     surface: GraphemeWord
     expected_stem: GraphemeWord
-
-
-@_record
-class DatasetStats:
-    """Word counts and length range of a word list."""
-
-    total_words: int
-    unique_words: int
-    min_len: int
-    max_len: int
 
 
 @_record
@@ -154,20 +144,6 @@ def load_gold(text: str) -> list[GoldEntry]:
     words = lru_cache(maxsize=None)(word)  # field text to its word
     entries = {p: GoldEntry(*map(words, p)) for p in dict.fromkeys(pairs)}
     return [entries[pair] for pair in pairs]
-
-
-def dataset_stats(words: "list[GraphemeWord | str]") -> DatasetStats:
-    """Total and distinct counts plus min/max word length in letters."""
-    if not words:
-        return DatasetStats(0, 0, 0, 0)
-    segmented = [_as_word(w) for w in words]
-    lengths = [len(w) for w in segmented]
-    return DatasetStats(
-        total_words=len(segmented),
-        unique_words=len({w.text for w in segmented}),
-        min_len=min(lengths),
-        max_len=max(lengths),
-    )
 
 
 def accuracy(n_correct: int, n_unique: int) -> Fraction:
@@ -379,41 +355,13 @@ def render(report: EvalReport, format: str = "table") -> str:
 
     Percentages are truncated for display in ``table`` and ``csv``; the
     ``json`` format carries exact fractions.  Counts appear verbatim in
-    every format, so a CSV report can be parsed back without loss.
+    every format.
     """
     try:
         renderer = _RENDERERS[format]
     except KeyError:
         raise ValueError(f"unknown report format: {format!r}") from None
     return renderer(report)
-
-
-def parse_report_csv(text: str) -> EvalReport:
-    """Rebuild a report from its CSV rendering.
-
-    Counts are read back verbatim; exact accuracies and averages are
-    recomputed from the counts, which restores full precision.
-    """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("empty report: missing header") from None
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected header: {','.join(header)}")
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        if record[0] == "avg":
-            break
-        if len(record) != len(CSV_HEADER):
-            raise ValueError(
-                f"row has {len(record)} fields: {','.join(record)}"
-            )
-        # Counts sit in columns 0, 1, 2 and 4 (see CSV_HEADER).
-        rows.append(_row(*(int(record[i]) for i in (0, 1, 2, 4))))
-    return _report(rows)
 
 
 @lru_cache(maxsize=1)

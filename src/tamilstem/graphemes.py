@@ -32,7 +32,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-__all__ = ["GraphemeWord", "ends_with", "is_tamil", "normalize", "segment", "word"]
+__all__ = ["GraphemeWord", "normalize", "segment", "word"]
 
 # Tamil block ranges (U+0B80..U+0BFF).
 _AYTHAM = "ஃ"                      # ஃ stands alone
@@ -239,23 +239,6 @@ def _as_word(text: "GraphemeWord | str") -> GraphemeWord:
     return text if isinstance(text, GraphemeWord) else word(text)
 
 
-def ends_with(w: GraphemeWord, suffix: GraphemeWord) -> bool:
-    """True iff the last ``len(suffix)`` letters of *w* equal *suffix*."""
-    k = len(suffix.graphemes)
-    if k == 0:
-        return True
-    if k > len(w.graphemes):
-        return False
-    return w.graphemes[-k:] == suffix.graphemes
-
-
-def is_tamil(w: GraphemeWord) -> bool:
-    """True if every letter of *w* starts in the Tamil block."""
-    return bool(w.graphemes) and all(
-        "஀" <= g[0] <= "௿" for g in w.graphemes
-    )
-
-
 def _packaged_text(name: str) -> str:
     """The UTF-8 text of a data file shipped in ``tamilstem/data``, read
     through this module's loader, so from a zip too."""
@@ -276,19 +259,18 @@ def _lines(source):
         yield from enumerate(lines, start=2)
 
 
-def _data_lines(source, bad_comment=None):
+def _data_lines(source, bad_comment):
     """`_lines` without the blank lines and ``#`` comments.
 
-    Given *bad_comment*, a comment that carries a lone surrogate, the
-    residue of a failed decode, raises ``bad_comment(lineno, message)``,
-    as a data line carrying one would be reported.  Only comments are
-    checked.
+    A comment that carries a lone surrogate, the residue of a failed
+    decode, raises ``bad_comment(lineno, message)``, as a data line
+    carrying one would be reported.  Only comments are checked.
     """
     for lineno, line in _lines(source):
         text = line.lstrip()
         if text and text[0] != "#":
             yield lineno, line
-        elif text and bad_comment is not None:
+        elif text:
             try:
                 normalize(line)
             except ValueError as exc:

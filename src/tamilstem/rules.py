@@ -61,7 +61,6 @@ __all__ = [
     "candidates",
     "parse_rules",
     "render_rules",
-    "validate_rules",
 ]
 
 
@@ -254,19 +253,22 @@ def _defect(pattern: GraphemeWord, replacement=None, min_stem=1) -> str | None:
     return None
 
 
-def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
-    def error(message: str) -> RuleError:
-        return RuleError(f"line {lineno}: {message}", line=lineno)
+def _line_error(lineno: int, message) -> RuleError:
+    return RuleError(f"line {lineno}: {message}", line=lineno)
 
+
+def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
     def lookup(name: str, kind: str) -> SuffixClass:
         klass = _CLASS_BY_NAME.get(name.strip())
         if klass is None:
-            raise error(f"unknown {kind} {name.strip()!r}")
+            raise _line_error(lineno, f"unknown {kind} {name.strip()!r}")
         return klass
 
     fields = line.split("\t")
     if len(fields) != 5:
-        raise error(f"expected 5 tab-separated fields, got {len(fields)}")
+        raise _line_error(
+            lineno, f"expected 5 tab-separated fields, got {len(fields)}"
+        )
     class_name, pattern_text, replacement_text, min_stem_text, next_text = fields
     klass = lookup(class_name, "suffix class")
     try:
@@ -280,39 +282,45 @@ def _parse_line(lineno: int, line: str, order: int) -> SuffixRule:
         pattern, replacement := word(replacement_text.strip()), min_stem
     )
     if defect:
-        raise error(defect)
+        raise _line_error(lineno, defect)
     names = next_text.split(",") if next_text.strip() else []
     next_classes = frozenset(lookup(name, "next class") for name in names)
     return SuffixRule(klass, pattern, replacement, min_stem, next_classes, order)
 
 
 def _scan(text: str) -> tuple[list[SuffixRule], list[RuleError]]:
-    """The valid rules of *text*, and its problems in line order."""
+    """The valid rules of *text*, and its problems in line order.  A
+    comment that carries a lone surrogate, the residue of a failed
+    decode, is the last problem: the scan ends there."""
     rules: list[SuffixRule] = []
     problems: list[RuleError] = []
     seen: dict[tuple[SuffixClass, str], int] = {}
-    for lineno, line in _data_lines(text):
-        try:
-            rule = _parse_line(lineno, line, len(rules))
-        except RuleError as exc:
-            problems.append(exc)
-            continue
-        except ValueError as exc:  # a lone surrogate from a failed decode
-            problems.append(RuleError(f"line {lineno}: {exc}", line=lineno))
-            continue
-        key = (rule.klass, rule.pattern.text)
-        if key in seen:
-            problems.append(
-                RuleConflictError(
-                    f"duplicate rule for class {rule.klass} pattern "
-                    f"{rule.pattern.text!r}: lines {seen[key]} and {lineno}",
-                    first_line=seen[key],
-                    second_line=lineno,
+    try:
+        for lineno, line in _data_lines(text, _line_error):
+            try:
+                rule = _parse_line(lineno, line, len(rules))
+            except RuleError as exc:
+                problems.append(exc)
+                continue
+            except ValueError as exc:  # a lone surrogate from a failed decode
+                problems.append(_line_error(lineno, exc))
+                continue
+            key = (rule.klass, rule.pattern.text)
+            if key in seen:
+                problems.append(
+                    RuleConflictError(
+                        f"duplicate rule for class {rule.klass} pattern "
+                        f"{rule.pattern.text!r}: "
+                        f"lines {seen[key]} and {lineno}",
+                        first_line=seen[key],
+                        second_line=lineno,
+                    )
                 )
-            )
-        else:
-            seen[key] = lineno
-            rules.append(rule)
+            else:
+                seen[key] = lineno
+                rules.append(rule)
+    except RuleError as exc:  # from `_data_lines`: a bad comment
+        problems.append(exc)
     return rules, problems
 
 
@@ -322,11 +330,6 @@ def parse_rules(text: str) -> RuleSet:
     if problems:
         raise problems[0]
     return RuleSet(tuple(rules))
-
-
-def validate_rules(text: str) -> list[str]:
-    """Collect every diagnostic in a rule file instead of stopping at one."""
-    return [str(problem) for problem in _scan(text)[1]]
 
 
 def render_rules(ruleset: RuleSet) -> str:

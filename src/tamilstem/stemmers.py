@@ -11,18 +11,17 @@ and stripping stops at a terminal class.  Substitution rules (plural
 ``ங்கள்``→``ம்``, participle ``டிய``→``டு``) restore the base form
 instead of merely cutting.
 
-A caller that returns letters walks letters: ``strip_stem``,
-``light_stem`` and the single-step helpers are each one ``_walk`` over
-a word's letters and two class masks, the classes the first rule may
-take and those allowed after each step, or None to follow the rule's
-``next_classes``.  A caller that needs only the stem's text, such as
-``tamilstem stem`` and ``_both`` (the strip and light stems that
-``tamilstem eval`` and ``compare`` score), walks text with
-``_walk_text``, which hands over to ``_walk`` where the text or a step
-must be segmented.  A walk records its steps only for a caller that
-passes it a list, and only ``strip_stem`` and ``light_stem`` build a
-`StemResult`.  All leave unmatched words untouched, including non-Tamil
-input.
+A caller that returns letters walks letters: ``strip_stem`` and
+``light_stem`` are each one ``_walk`` over a word's letters and two
+class masks, the classes the first rule may take and those allowed
+after each step, or None to follow the rule's ``next_classes``.  A
+caller that needs only the stem's text, such as ``tamilstem stem`` and
+``_both`` (the strip and light stems that ``tamilstem eval`` and
+``compare`` score), walks text with ``_walk_text``, which hands over to
+``_walk`` where the text or a step must be segmented.  A walk records
+its steps only for a caller that passes it a list, and only
+``strip_stem`` and ``light_stem`` build a `StemResult`.  All leave
+unmatched words untouched, including non-Tamil input.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _record, word
 from .rules import (
     ALL_CLASSES,
     RuleSet,
-    SuffixClass,
     SuffixRule,
     _apply,
     _class_mask,
@@ -44,12 +42,9 @@ __all__ = [
     "ENGINES",
     "StemResult",
     "StemStep",
-    "adjectival_to_verb",
     "light_stem",
     "stem_batch",
-    "strip_plural",
     "strip_stem",
-    "strip_tense",
 ]
 
 # Each walk's (first, then) class masks (see `_walk` and
@@ -57,18 +52,6 @@ __all__ = [
 _ALL = _class_mask(ALL_CLASSES)
 _STRIP = (_ALL, _ALL)
 _LIGHT = (_ALL, None)
-_PLURAL = (_class_mask({SuffixClass.PLURAL}), 0)
-_PARTICIPLE = (_class_mask({SuffixClass.ADJECTIVAL_PARTICIPLE}), 0)
-_TENSE_LAYER = (
-    _class_mask(
-        {
-            SuffixClass.TENSE,
-            SuffixClass.NEGATIVE_COMPOUND,
-            SuffixClass.PERSON_NUMBER_GENDER,
-        }
-    ),
-    0,
-)
 
 
 @_record
@@ -200,27 +183,6 @@ def stem_batch(
             results[w] = engine(w, rules)
         out.append(results[w])
     return out
-
-
-def strip_plural(
-    text: GraphemeWord | str, rules: RuleSet | None = None
-) -> GraphemeWord:
-    """Apply the single longest plural rule, or return the word as is."""
-    return _walk(rules, text, _PLURAL)
-
-
-def adjectival_to_verb(
-    text: GraphemeWord | str, rules: RuleSet | None = None
-) -> GraphemeWord:
-    """Substitute an adjectival-participle ending with its verb base."""
-    return _walk(rules, text, _PARTICIPLE)
-
-
-def strip_tense(
-    text: GraphemeWord | str, rules: RuleSet | None = None
-) -> GraphemeWord:
-    """Remove one finite-verb ending (tense, negative, or bare PNG)."""
-    return _walk(rules, text, _TENSE_LAYER)
 
 
 def light_stem(

@@ -729,7 +729,7 @@ def _count_trace_objects(monkeypatch):
     return built
 
 
-def test_untraced_stem_and_single_step_helpers_build_no_trace(monkeypatch):
+def test_untraced_stem_and_letter_walks_build_no_trace(monkeypatch):
     text = _zipf_stream(5, 300)
     expected = {a: _stem_oracle(a, False, builtin_rules(), text) for a in ENGINES}
     # A traced `stem` records its steps as (rule, text) pairs, so over
@@ -745,10 +745,11 @@ def test_untraced_stem_and_single_step_helpers_build_no_trace(monkeypatch):
     for algo in sorted(ENGINES):
         code, out, _ = run_cli(["stem", "--algo", algo], text)
         assert (code, out) == (EX_OK, expected[algo])
-    changed = 0
-    for helper in (tamilstem.strip_plural, tamilstem.adjectival_to_verb,
-                   tamilstem.strip_tense):
-        changed += sum(helper(s).text != s for s in surfaces)
+    changed = sum(
+        stemmers._walk(None, s, masks).text != s
+        for masks in stemmers._ENGINE_MASKS.values()
+        for s in surfaces
+    )
     assert changed and not built
     code, out, _ = run_cli(["stem", "--trace"], fast)
     assert (code, out) == (EX_OK, traced)
@@ -1280,6 +1281,46 @@ def test_compare_agrees_with_eval_where_the_engines_part(tmp_path):
         assert output(["eval", "--algo", algo]) == (
             f"n_unique\t{n_unique}\nn_correct\t{n_correct}\naccuracy\t{acc}\n"
         )
+
+
+def _piped(argv, data: bytes) -> bytes:
+    """The stdout of ``python -B -m tamilstem`` *argv* reading *data*,
+    both over real pipes; the command must exit 0 and write something."""
+    proc = _tamilstem(argv, subprocess.PIPE, subprocess.PIPE)
+    out = proc.communicate(data, timeout=60)[0]
+    assert proc.returncode == EX_OK and out
+    return out
+
+
+def test_doubled_gold_scores_as_the_gold_over_pipes():
+    # `eval` prints the same scores for `generate` output and for that
+    # output with every line doubled: a repeated gold line reuses what
+    # was parsed from its first occurrence.  `compare --format csv`
+    # prints the same bytes for both, but for its first column,
+    # `n_words`, which counts every line.
+    gold = _piped(["generate", "--paradigm", "verb"], "படி\nஓடு\n".encode())
+    doubled = b"".join(line + line for line in gold.splitlines(True))
+    for algo in sorted(ENGINES):
+        argv = ["eval", "--algo", algo]
+        assert _piped(argv, doubled) == _piped(argv, gold)
+
+    def csv_after_n_words(data):
+        report = _piped(["compare", "--format", "csv"], data)
+        return [line.split(b",", 1)[1] for line in report.splitlines()]
+
+    assert csv_after_n_words(doubled) == csv_after_n_words(gold)
+
+
+def test_nfd_gold_scores_as_the_nfc_gold_over_pipes():
+    # `compare` reads each gold line as an NFC text pair, so `generate`
+    # output decomposed to NFD (ொ, ோ and ௌ split into two code points)
+    # scores exactly as the NFC output does.
+    roots = "கொடு\nபோடு\nபடி\n".encode()
+    gold = _piped(["generate", "--paradigm", "verb"], roots)
+    nfd = unicodedata.normalize("NFD", gold.decode()).encode()
+    assert nfd != gold
+    argv = ["compare", "--format", "csv"]
+    assert _piped(argv, nfd) == _piped(argv, gold)
 
 
 @pytest.mark.parametrize(

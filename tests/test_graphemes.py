@@ -7,9 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamilstem.graphemes import (
-    GraphemeWord,
-    ends_with,
-    is_tamil,
     normalize,
     segment,
     word,
@@ -178,21 +175,6 @@ def test_segment_keeps_zero_width_joiners_attached():
     assert "".join(segment(zwj_text).graphemes) == zwj_text
 
 
-def test_ends_with():
-    w = word("பெண்கள்")
-    assert ends_with(w, word("கள்"))
-    assert ends_with(w, word("பெண்கள்"))
-    assert ends_with(w, word(""))
-    assert not ends_with(w, word("உக்கு"))
-    assert not ends_with(word("கள்"), w)
-
-
-def test_is_tamil():
-    assert is_tamil(word("மரம்"))
-    assert not is_tamil(word("hello"))
-    assert not is_tamil(word("மரம்x"))
-
-
 def test_grapheme_word_value_semantics():
     assert word("மரம்") == word("மரம்")
     assert str(word("மரம்")) == "மரம்"
@@ -230,8 +212,9 @@ def test_property_tamil_clusters_have_one_base(text):
             for ch in cluster
             if unicodedata.category(ch) not in ("Mn", "Mc", "Me")
         ]
-        # At most one spacing base per cluster (the au-mark U+0BD7 is Mc).
-        assert len(bases) <= 1 or not is_tamil(GraphemeWord((cluster,), cluster))
+        # At most one spacing base per Tamil cluster (the au-mark U+0BD7
+        # is Mc).
+        assert len(bases) <= 1 or not "\u0b80" <= cluster[0] <= "\u0bff"
 
 
 # Letters for checking `word` against `segment` of `normalize`, its

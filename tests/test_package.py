@@ -1,10 +1,11 @@
 """The package's import surface: what ``import tamilstem`` loads, where
-its public names are declared, the names of ``evaluation`` and
-``paradigm`` that load on first access, that scoring needs only the
-standard library, reading the bundled data from a zip, and the README's
-library example."""
+its public names are declared, that each has a caller, the names of
+``evaluation`` and ``paradigm`` that load on first access, that scoring
+needs only the standard library, reading the bundled data from a zip,
+and the README's library example."""
 
 import ast
+import glob
 import importlib
 import os
 import re
@@ -18,6 +19,7 @@ import tamilstem
 from tamilstem.graphemes import _packaged_text
 
 SRC = os.path.dirname(os.path.dirname(tamilstem.__file__))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Modules that only evaluation and generation need.  With -I -S no .pth
 # file preloads importlib.resources, so its absence means tamilstem did
@@ -121,7 +123,6 @@ def test_stem_command_loads_only_the_engine():
 
 
 def test_lazy_names_are_those_of_their_home_modules():
-    assert len(tamilstem._LAZY) == 21
     assert set(tamilstem._LAZY) <= set(tamilstem.__all__)
     for name, home in tamilstem._LAZY.items():
         module = importlib.import_module(f"tamilstem.{home}")
@@ -138,6 +139,51 @@ def test_all_is_declared_once_by_each_module():
     declared += [*tamilstem._LAZY, "__version__"]
     assert len(set(tamilstem.__all__)) == len(tamilstem.__all__)
     assert sorted(tamilstem.__all__) == sorted(declared)
+
+
+def test_all_is_the_public_contract():
+    assert sorted(tamilstem.__all__) == [
+        "ALL_CLASSES", "ENGINES", "EvalReport", "EvalRow",
+        "GoldConflictWarning", "GoldEntry", "GoldError", "GraphemeWord",
+        "PARADIGMS", "RuleConflictError", "RuleError", "RuleSet",
+        "StemResult", "StemStep", "SuffixClass", "SuffixRule",
+        "__version__", "accuracy", "apply_rule", "build_corpus",
+        "builtin_rules", "bundled_gold", "candidates", "compare",
+        "default_roots", "evaluate", "extra_gold", "format_accuracy",
+        "generate_forms", "light_stem", "load_gold", "load_roots",
+        "normalize", "parse_rules", "render", "render_rules", "segment",
+        "stem_batch", "strip_stem", "word",
+    ]
+
+
+def _readme_library_example() -> str:
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+        (block,) = re.findall(r"^```python\n(.*?)^```", f.read(), re.M | re.S)
+    return block
+
+
+def test_every_public_name_has_a_caller():
+    # A caller reads the name: a name or attribute in the package's
+    # modules or the benchmark scripts, or an attribute in README's
+    # library example.  The strings of `__all__` and `_LAZY` call nothing.
+    trees = []
+    for pattern in ("src/tamilstem/*.py", "benchmarks/*.py"):
+        for path in glob.glob(os.path.join(REPO, pattern)):
+            with open(path, encoding="utf-8") as f:
+                trees.append(ast.parse(f.read()))
+    called = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    called |= {
+        node.attr
+        for node in ast.walk(ast.parse(_readme_library_example()))
+        if isinstance(node, ast.Attribute)
+    }
+    assert len(trees) > 8  # the package's 8 modules, then the benchmarks
+    assert sorted(set(tamilstem.__all__) - called) == []
 
 
 def test_first_access_loads_and_binds_a_name():
@@ -214,9 +260,7 @@ def test_data_stays_readable_through_importlib_resources():
 
 def test_readme_library_example_gives_what_its_comments_say():
     # Each `expr  # literal` line of the block must evaluate to literal.
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path, encoding="utf-8") as f:
-        (block,) = re.findall(r"^```python\n(.*?)^```", f.read(), re.M | re.S)
+    block = _readme_library_example()
     lines = block.splitlines()
     namespace: dict = {}
     checked = 0

@@ -19,10 +19,13 @@ from tamilstem.paradigm import (
     build_corpus,
     default_roots,
     generate_forms,
-    is_m_final,
     load_roots,
-    plural_base,
 )
+
+
+def _is_m_final(root):
+    """Whether the noun *root* ends in the bare consonant ம்."""
+    return root.graphemes[-1:] == ("ம்",)
 
 
 def _surfaces(root, paradigm):
@@ -50,13 +53,6 @@ def test_m_final_noun_alternations():
     assert "மரங்கள்இல்" in surfaces           # plural locative
     assert "மரம்இலிருந்து" in surfaces        # ablative on the nominative
     assert "மரம்கள்" not in surfaces
-
-
-def test_plural_base_helper():
-    assert plural_base("மரம்").text == "மரங்கள்"
-    assert plural_base("பெண்").text == "பெண்கள்"
-    assert is_m_final("மரம்")
-    assert not is_m_final("பெண்")
 
 
 def test_verb_layout():
@@ -113,7 +109,7 @@ def test_default_roots_inventory():
     assert len(nouns) >= 10
     assert len(verbs) >= 10
     assert len(roots) >= 20
-    assert any(is_m_final(r) for r in nouns)
+    assert any(_is_m_final(r) for r in nouns)
     assert all(p in PARADIGMS for _, p in roots)
     assert all(len(r) >= 2 for r, _ in roots)
 
@@ -164,7 +160,7 @@ def _text_forms(root, kind):
         series = (paradigm._PAST, paradigm._PRESENT, paradigm._FUTURE,
                   paradigm._NEGATIVE)
         texts = [w.text + e for endings in series for e in endings]
-    elif is_m_final(w):
+    elif _is_m_final(w):
         stem = "".join(w.graphemes[:-1])
         plural = word(stem + "ங்கள்").text
         loc, abl = paradigm._LOC_PLAIN, paradigm._ABL_PLAIN

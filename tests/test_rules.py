@@ -20,7 +20,6 @@ from tamilstem.graphemes import (
     _JOINS,
     _NOT_FAST_NFC,
     _joins_previous,
-    ends_with,
     normalize,
     segment,
     word,
@@ -33,33 +32,34 @@ from tamilstem.rules import (
     RuleSet,
     SuffixClass,
     SuffixRule,
+    _class_mask,
     _first_text_match,
     _merges,
+    _scan,
     apply_rule,
     builtin_rules,
     candidates,
     parse_rules,
     render_rules,
-    validate_rules,
 )
 from tamilstem.stemmers import (
     _ALL,
     _LIGHT,
-    _PARTICIPLE,
-    _PLURAL,
     _STRIP,
-    _TENSE_LAYER,
     _both,
     _walk,
     _walk_text,
-    adjectival_to_verb,
     light_stem,
-    strip_plural,
     strip_stem,
-    strip_tense,
 )
 
 GOOD_LINE = "Plural\tகள்\t\t2\tCase,Vocative\n"
+
+
+def _problems(text):
+    """What ``tamilstem rules-validate`` prints for rule file *text*:
+    every problem, one a line."""
+    return [str(problem) for problem in _scan(text)[1]]
 
 
 def test_parse_single_rule():
@@ -79,7 +79,7 @@ def test_parse_drops_a_leading_bom():
     assert parse_rules("\ufeff" + GOOD_LINE) == parse_rules(GOOD_LINE)
     crlf = GOOD_LINE.replace("\n", "\r\n")
     assert parse_rules(crlf) == parse_rules("\ufeff" + crlf) == parse_rules(GOOD_LINE)
-    assert validate_rules("\ufeffCase\tஐ\t\t1\t\n") == []
+    assert _problems("\ufeffCase\tஐ\t\t1\t\n") == []
 
 
 def test_parse_empty_file():
@@ -145,7 +145,7 @@ def test_validate_collects_every_problem():
         "Misc\tஐ\t\t2\t\n"
         "Plural\tகள்\t\t2\t\n"
     )
-    problems = validate_rules(text)
+    problems = _problems(text)
     assert len(problems) == 3
     assert any("line 2" in p for p in problems)
     assert any("line 3" in p for p in problems)
@@ -153,7 +153,7 @@ def test_validate_collects_every_problem():
 
 
 def test_validate_clean_file():
-    assert validate_rules(GOOD_LINE) == []
+    assert _problems(GOOD_LINE) == []
 
 
 # A padded rule file: blanks, a no-break space and an ideographic space
@@ -167,12 +167,12 @@ _PADDED_RULES = (
 
 def test_whitespace_around_pattern_and_replacement_is_ignored():
     assert parse_rules(_PADDED_RULES) == parse_rules(_PLAIN_RULES)
-    assert validate_rules(_PADDED_RULES) == validate_rules(_PLAIN_RULES) == []
+    assert _problems(_PADDED_RULES) == _problems(_PLAIN_RULES) == []
     rs = parse_rules(_PADDED_RULES)
     assert light_stem("மரம்உக்கு", rs).stem.text == "மரம்"
     assert light_stem("மரங்கள்உக்கு", rs).stem.text == "மரம்"
     # A padded line is the same rule as the unpadded one.
-    assert validate_rules(_PLAIN_RULES + _PADDED_RULES) == [
+    assert _problems(_PLAIN_RULES + _PADDED_RULES) == [
         "duplicate rule for class Case pattern 'உக்கு': lines 1 and 3",
         "duplicate rule for class Plural pattern 'ங்கள்': lines 2 and 4",
     ]
@@ -247,6 +247,11 @@ def test_candidates_empty_word():
     assert candidates(builtin_rules(), word(""), ALL_CLASSES) == []
 
 
+def _ends_with(w, suffix):
+    """Whether the last letters of *w* are those of *suffix*."""
+    return w.graphemes[len(w) - len(suffix):] == suffix.graphemes
+
+
 def _oracle_candidates(rs, w, allowed):
     """Every applicable rule by brute force, in match order.  A merging
     replacement counts one letter fewer: its first joins a kept letter,
@@ -255,7 +260,7 @@ def _oracle_candidates(rs, w, allowed):
         r
         for r in sorted(rs.rules, key=lambda r: (-len(r.pattern), r.order))
         if r.klass in allowed
-        and ends_with(w, r.pattern)
+        and _ends_with(w, r.pattern)
         and len(w) - len(r.pattern) + len(r.replacement)
         - _oracle_merges(r.replacement.text) >= r.min_stem
     ]
@@ -488,7 +493,7 @@ def test_pattern_starting_with_a_dependent_sign_is_rejected(pattern):
     with pytest.raises(RuleError, match="vowel sign or pulli") as exc:
         parse_rules(text)
     assert exc.value.line == 2
-    assert validate_rules(text) == [str(exc.value)]
+    assert _problems(text) == [str(exc.value)]
 
 
 @pytest.mark.parametrize(
@@ -499,7 +504,7 @@ def test_pattern_starting_with_a_dependent_sign_is_rejected(pattern):
 def test_pattern_starting_with_a_joining_mark_is_rejected(tmp_path, pattern):
     # Its text ends x + pattern, whose letters it does not end: the mark
     # joins x there, but starts a letter of its own in the pattern.
-    assert not ends_with(word("x" + pattern), word(pattern))
+    assert not _ends_with(word("x" + pattern), word(pattern))
     message = (
         f"line 2: pattern {pattern!r} starts with a combining mark or "
         "joiner, which joins the letter before it"
@@ -508,7 +513,7 @@ def test_pattern_starting_with_a_joining_mark_is_rejected(tmp_path, pattern):
     with pytest.raises(RuleError) as exc:
         parse_rules(text)
     assert (exc.value.line, str(exc.value)) == (2, message)
-    assert validate_rules(text) == [message]
+    assert _problems(text) == [message]
     path = tmp_path / "rules.tsv"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -532,13 +537,32 @@ def test_a_lone_surrogate_is_reported_on_its_line():
     malformed gold line, not a bare ValueError."""
     message = "line 2: malformed text: lone surrogate at offset 0"
     text = "Case\tஐ\t\t2\t\nCase\t\udcff\t\t2\t\n"
-    assert validate_rules(text) == [message]
+    assert _problems(text) == [message]
     with pytest.raises(RuleError) as exc:
         parse_rules(text)
     assert (exc.value.line, str(exc.value)) == (2, message)
     with pytest.raises(ValueError) as exc:
         load_roots("படி\tverb\n\udcffக\tnoun\n")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "read,data_line,error",
+    [
+        (load_gold, "a\tb", GoldError),
+        (load_roots, "படி\tverb", ValueError),
+        (parse_rules, "Case\tஐ\t\t1\t", RuleError),
+    ],
+    ids=["gold", "roots", "rules"],
+)
+def test_a_lone_surrogate_in_a_comment_is_reported_on_its_line(
+    read, data_line, error
+):
+    with pytest.raises(error) as exc:
+        read(f"{data_line}\n# \udcff\n{data_line}\n")
+    message = "line 2: malformed text: lone surrogate at offset 2"
+    assert str(exc.value) == message
+    assert getattr(exc.value, "line", 2) == 2
 
 
 # Per rule field: values that parse, then values that do not.  Valid
@@ -583,11 +607,11 @@ _rule_line = st.integers(0, 5).flatmap(
 
 @settings(max_examples=400, derandomize=True)
 @given(st.lists(_rule_line, max_size=8), st.sampled_from(["\n", "\r\n"]))
-def test_parse_rules_raises_the_first_problem_validate_rules_reports(
+def test_parse_rules_raises_the_first_problem_rules_validate_reports(
     lines, newline
 ):
     text = newline.join(lines)
-    problems = validate_rules(text)
+    problems = _problems(text)
     try:
         ruleset = parse_rules(text)
     except RuleError as exc:
@@ -625,7 +649,7 @@ def test_only_a_newline_ends_a_line(tmp_path, char, place):
 
     rules = text(f"Case\tக{char}\t\t1\t", "Case\tஐ\t\t1\t", "Case\tஐ\t\t1\t")
     conflict = "duplicate rule for class Case pattern 'ஐ': lines 2 and 3"
-    assert validate_rules(rules) == [conflict]
+    assert _problems(rules) == [conflict]
     with pytest.raises(RuleConflictError) as exc:
         parse_rules(rules)
     assert (exc.value.first_line, exc.value.second_line) == (2, 3)
@@ -662,8 +686,20 @@ _REPLACEMENTS = (
     "", "", "ம்", "க", "ி", "்", "ா", "ௗ", "\u0301", "\u200d", "x\u0301",
     "\u11a8",
 )
-# The class masks of every walk: both engines and the single-step helpers.
-_MASKS = (_STRIP, _LIGHT, _PLURAL, _PARTICIPLE, _TENSE_LAYER)
+# Class sets for walks of one step: a first mask, then 0.
+_ONE_STEP_CLASSES = (
+    {SuffixClass.PLURAL},
+    {SuffixClass.ADJECTIVAL_PARTICIPLE},
+    {
+        SuffixClass.TENSE,
+        SuffixClass.NEGATIVE_COMPOUND,
+        SuffixClass.PERSON_NUMBER_GENDER,
+    },
+)
+# The class masks of both engines' walks, and of one-step walks.
+_MASKS = (
+    _STRIP, _LIGHT, *((_class_mask(c), 0) for c in _ONE_STEP_CLASSES)
+)
 _CLASSES = ("Plural", "Case", "Tense")
 _index_rule = st.tuples(
     st.sampled_from(_CLASSES),
@@ -724,20 +760,9 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
                 rs, w, masks, letters
             ).text
             assert steps == [(s.rule, s.after.text) for s in letters]
-        for helper, classes in (
-            (strip_plural, {SuffixClass.PLURAL}),
-            (adjectival_to_verb, {SuffixClass.ADJECTIVAL_PARTICIPLE}),
-            (
-                strip_tense,
-                {
-                    SuffixClass.TENSE,
-                    SuffixClass.NEGATIVE_COMPOUND,
-                    SuffixClass.PERSON_NUMBER_GENDER,
-                },
-            ),
-        ):
+        for classes in _ONE_STEP_CLASSES:
             stem, _ = _oracle_walk(rs, w, classes, chain=False, max_steps=1)
-            assert helper(w, rs) == stem
+            assert _walk(rs, w, (_class_mask(classes), 0)) == stem
 
 
 # Rule sets for the text walk besides the built-in one: no rules,

@@ -1,4 +1,4 @@
-"""Both stemming engines and the single-layer helpers."""
+"""Both stemming engines."""
 
 import copy
 import dataclasses
@@ -10,13 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tamilstem.evaluation import (
-    DatasetStats,
-    EvalReport,
-    EvalRow,
-    GoldEntry,
-    dataset_stats,
-)
+from tamilstem.evaluation import EvalReport, EvalRow, GoldEntry
 from tamilstem.graphemes import GraphemeWord, word
 from tamilstem.paradigm import build_corpus
 from tamilstem.rules import SuffixClass, SuffixRule, builtin_rules, parse_rules
@@ -25,12 +19,9 @@ from tamilstem.stemmers import (
     StemResult,
     StemStep,
     _both,
-    adjectival_to_verb,
     light_stem,
     stem_batch,
-    strip_plural,
     strip_stem,
-    strip_tense,
 )
 
 STRIP_CASES = [
@@ -98,27 +89,6 @@ def test_stem_batch_shares_results_for_equal_inputs():
         first = {}
         for w, result in zip(inputs, batch):
             assert first.setdefault(w, result) is result
-
-
-def test_strip_plural_single_step():
-    assert strip_plural("பெண்கள்").text == "பெண்"
-    assert strip_plural("மரங்கள்").text == "மரம்"
-    assert strip_plural("மரம்").text == "மரம்"
-    # Only the plural layer: the dative stays in place.
-    assert strip_plural("பெண்கள்உக்கு").text == "பெண்கள்உக்கு"
-
-
-def test_adjectival_to_verb_single_step():
-    assert adjectival_to_verb("ஓடிய").text == "ஓடு"
-    assert adjectival_to_verb("பாடிய").text == "பாடு"
-    assert adjectival_to_verb("படி").text == "படி"
-
-
-def test_strip_tense_single_step():
-    assert strip_tense("பாடுகின்ற").text == "பாடு"
-    assert strip_tense("பாடும்").text == "பாடு"
-    assert strip_tense("படிக்கமாட்டேன்").text == "படி"
-    assert strip_tense("மரம்").text == "மரம்"
 
 
 LIGHT_CASES = [
@@ -261,9 +231,6 @@ def _value_cases():
         (GoldEntry, ("surface", "expected_stem"),
          GoldEntry(trees, tree), GoldEntry(word("மரங்கள்"), word("மரம்")),
          GoldEntry(tree, tree)),
-        (DatasetStats, ("total_words", "unique_words", "min_len", "max_len"),
-         dataset_stats(["மரம்", "மரங்கள்", "மரம்"]), DatasetStats(3, 2, 3, 5),
-         dataset_stats(["படி"])),
         (EvalRow,
          ("n_words", "n_unique", "n_correct_strip", "n_correct_light",
           "acc_strip", "acc_light"),
@@ -280,7 +247,7 @@ def _value_cases():
     "cls,names,one,same,other",
     _value_cases(),
     ids=["GraphemeWord", "StemStep", "StemResult", "SuffixRule", "GoldEntry",
-         "DatasetStats", "EvalRow", "EvalReport"],
+         "EvalRow", "EvalReport"],
 )
 def test_value_classes_keep_frozen_dataclass_semantics(
     cls, names, one, same, other
