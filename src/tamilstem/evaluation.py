@@ -24,7 +24,9 @@ One parser, `_parse_gold`, reads gold text as NFC text pairs.
 `compare` takes, and so segment no field (``eval`` prints one engine's
 column of the report).  Unless a surface still holds text outside the
 fast range once normalized, the parser says so, the walks are told,
-and no surface is scanned again.
+and no surface is scanned again.  Gold is read and scored once per
+distinct line: the parser parses each distinct line once per call, and
+the scorer walks each chunk's distinct pairs once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .graphemes import _NOT_FAST_NFC, GraphemeWord, _data_lines
+from .graphemes import _NOT_FAST_NFC, GraphemeWord, _text_lines
 from .graphemes import _packaged_text, _record, normalize, word
 from .paradigm import build_corpus
 from .rules import RuleSet
@@ -100,37 +102,40 @@ def _parse_gold(text: str) -> "tuple[list[tuple[str, str]], bool]":
     fast: `_NOT_FAST_NFC` finds nothing in any of their surfaces, so the
     walks need not scan them.
 
-    Each distinct raw line is parsed once per call, and its repeats
-    share one pair.  Each field is a stripped substring of its line, so
-    where `_NOT_FAST_NFC` finds nothing in the line, it finds nothing in
-    either field, which is already NFC; only the fields of other lines
-    are normalized, and the pairs are fast unless a normalized surface
-    still holds text it finds.  A lone surrogate, the residue of a
-    failed decode, is a `GoldError` at the first line that carries it,
-    a comment line too.
+    Each distinct line is parsed once per call, in the order of its
+    first occurrence, and its repeats share one pair.  Each field is a
+    stripped substring of its line, so where `_NOT_FAST_NFC` finds
+    nothing in the line, it finds nothing in either field, which is
+    already NFC; only the fields of other lines are normalized, and the
+    pairs are fast unless a normalized surface still holds text it
+    finds.  A lone surrogate, the residue of a failed decode, is a
+    `GoldError` at the first line that carries it, a comment line too.
+    Every line is parsed, also those after the last chunk a caller
+    scores, so a malformed late line is still an error.
     """
-    pairs = []
+    lines = _text_lines(text)
     fast = True  # until a normalized surface is not
-    parsed = {}  # raw line to its pair; only lines that parsed cleanly
-    for lineno, line in _data_lines(text, GoldError):
-        pair = parsed.get(line)
-        if pair is None:
-            fields = line.strip().split("\t")
+    parsed = dict.fromkeys(lines)  # line to its pair; None if it has none
+    try:
+        for line in parsed:
+            data = line.strip()
+            if not data or data[0] == "#":
+                if data:
+                    normalize(line)  # only to reject a lone surrogate
+                continue
+            fields = data.split("\t")
             if len(fields) != 2:
-                raise GoldError(
-                    lineno,
-                    f"expected 2 tab-separated fields, got {len(fields)}",
+                raise ValueError(
+                    f"expected 2 tab-separated fields, got {len(fields)}"
                 )
             pair = fields[0].strip(), fields[1].strip()
             if _NOT_FAST_NFC.search(line) is not None:
-                try:
-                    pair = normalize(pair[0]), normalize(pair[1])
-                except ValueError as exc:  # a lone surrogate
-                    raise GoldError(lineno, str(exc)) from None
+                pair = normalize(pair[0]), normalize(pair[1])
                 fast = fast and _NOT_FAST_NFC.search(pair[0]) is None
             parsed[line] = pair
-        pairs.append(pair)
-    return pairs, fast
+    except ValueError as exc:  # a bad field count or a lone surrogate
+        raise GoldError(lines.index(line) + 1, str(exc)) from None
+    return list(filter(None, map(parsed.__getitem__, lines))), fast
 
 
 def load_gold(text: str) -> list[GoldEntry]:
@@ -167,32 +172,36 @@ def format_accuracy(value: Rational) -> str:
 def _score(pairs, stems, engines, boundaries):
     """Score gold text *pairs* in one pass under the gold policy, as
     ``(points, conflict)``: ``(n_words, n_unique, *correct)`` at each of
-    *boundaries* (the counts so far, one correct count per engine), and
-    an unraised `GoldConflictWarning` naming every conflict, or None.
+    the strictly ascending *boundaries* (the counts so far, one correct
+    count per engine), and an unraised `GoldConflictWarning` naming
+    every conflict, or None.
 
     *stems* maps a surface text to its stem texts under each of
     *engines* engines.  It runs on the first entry of each surface up to
     the last boundary only; the conflict scan goes on to the end of
-    *pairs*.
+    *pairs*.  Each segment between boundaries, and the one after the
+    last, is walked once per distinct pair in the order of its first
+    occurrence: a repeat of a pair within a segment changes no count.
     """
     first: dict[str, str] = {}  # surface text to its expected stem text
     conflicts = set()
     correct = [0] * engines
-    ends = set(boundaries)
-    last = max(ends, default=0)
     points = []
-    for position, (surface, stem) in enumerate(pairs, start=1):
-        expected = first.get(surface)
-        if expected is None:
-            first[surface] = stem
-            if position <= last:
-                for index, got in enumerate(stems(surface)):
-                    if got == stem:
-                        correct[index] += 1
-        elif expected != stem:
-            conflicts.add(surface)
-        if position in ends:
-            points.append((position, len(first), *correct))
+    start = 0
+    for end in (*boundaries, None):  # None: the conflict scan's segment
+        for surface, stem in dict.fromkeys(pairs[start:end]):
+            expected = first.get(surface)
+            if expected is None:
+                first[surface] = stem
+                if end is not None:
+                    for index, got in enumerate(stems(surface)):
+                        if got == stem:
+                            correct[index] += 1
+            elif expected != stem:
+                conflicts.add(surface)
+        if end is not None:
+            points.append((end, len(first), *correct))
+        start = end
     if not conflicts:
         return points, None
     return points, GoldConflictWarning(

@@ -75,9 +75,15 @@ def _char_class(chars) -> str:
 # Matches a code point outside the range `_LETTER` handles, or one of
 # the only code point pairs NFC joins inside it: they compose to ஔ, ொ,
 # ௌ and ோ.  Text it finds nothing in is NFC and split by `_LETTER`.
+# The search starts with one character set, of the code points outside
+# that range and the first code points of the pairs, so that `re` skips
+# every other code point in C; the lookbehinds then tell a pair's first
+# code point, which must be followed by its second, from the others.
+# Callers only ask whether it finds something, not where.
 _NOT_FAST_NFC = re.compile(
-    r"[^\x00-\u02ff\u0b80-\u0bff\u200c\u200d]"
-    "|\u0b92\u0bd7|\u0bc6[\u0bbe\u0bd7]|\u0bc7\u0bbe"
+    r"[^\x00-\u02ff\u0b80-\u0b91\u0b93-\u0bc5\u0bc8-\u0bff\u200c\u200d]"
+    r"(?:(?<=\u0b92)\u0bd7|(?<=\u0bc6)[\u0bbe\u0bd7]|(?<=\u0bc7)\u0bbe"
+    r"|(?<![\u0b92\u0bc6\u0bc7]))"
 )
 # One letter, as `segment` clusters it: a consonant with its
 # dependent signs, an independent vowel or aytham with any AU length
@@ -246,13 +252,21 @@ def _packaged_text(name: str) -> str:
     return __spec__.loader.get_data(path).decode("utf-8")
 
 
-def _lines(source):
-    """Number from 1 the lines of *source*, a text or a stream of lines.
+def _text_lines(text: str) -> "list[str]":
+    """The lines of *text*: a line ends only at ``\\n``, and a leading
+    byte-order mark is dropped.  Lines are not stripped: a CRLF ending
+    leaves its ``\\r`` on the line."""
+    return text.removeprefix("\ufeff").split("\n")
 
-    A line ends only at ``\\n``, and a leading byte-order mark is dropped.
-    Lines are not stripped: a CRLF ending leaves its ``\\r`` on the line.
-    """
-    lines = iter(source.split("\n") if isinstance(source, str) else source)
+
+def _lines(source):
+    """Number from 1 the lines of *source*: a text, split by
+    `_text_lines`, or a stream of lines, whose first line loses a
+    leading byte-order mark as a text does."""
+    if isinstance(source, str):
+        yield from enumerate(_text_lines(source), start=1)
+        return
+    lines = iter(source)
     first = next(lines, None)
     if first is not None:
         yield 1, first.removeprefix("\ufeff")

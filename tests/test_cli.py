@@ -239,9 +239,12 @@ def test_malformed_gold_exits_65():
 
 
 def test_empty_gold_exits_65():
-    code, _, err = run_cli(["eval"], "")
-    assert code == EX_DATA
-    assert "empty gold" in err
+    # No data line, whether the gold is empty or only comments and blanks.
+    for text in ("", "\ufeff# only\n\n \r\n# comments\n# only\n"):
+        for command in ("eval", "compare"):
+            assert run_cli([command], text) == (
+                EX_DATA, "", "tamilstem: error: <stdin>: empty gold standard\n"
+            )
 
 
 @pytest.mark.parametrize(
@@ -1321,6 +1324,27 @@ def test_nfd_gold_scores_as_the_nfc_gold_over_pipes():
     assert nfd != gold
     argv = ["compare", "--format", "csv"]
     assert _piped(argv, nfd) == _piped(argv, gold)
+
+
+def test_mixed_gold_scores_as_the_nfc_gold_over_pipes():
+    # Where every gold surface is NFC in the range the text walk reads
+    # as it is, once normalized, `compare`'s walks do not scan the
+    # surfaces again; one line decomposed to NFD normalizes to such
+    # text.  `generate` output with one middle line decomposed to NFD
+    # scores exactly as the NFC output does.
+    roots = "கொடு\nபோடு\nபடி\n".encode()
+    lines = _piped(["generate", "--paradigm", "verb"], roots).decode()
+    lines = lines.splitlines(keepends=True)
+    middle = next(
+        i for i in range(len(lines) // 2, len(lines))
+        if unicodedata.normalize("NFD", lines[i]) != lines[i]
+    )
+    mixed = lines.copy()
+    mixed[middle] = unicodedata.normalize("NFD", lines[middle])
+    argv = ["compare", "--format", "csv"]
+    assert _piped(argv, "".join(mixed).encode()) == (
+        _piped(argv, "".join(lines).encode())
+    )
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamilstem import evaluation
 from tamilstem.cli import main
@@ -48,7 +49,7 @@ def test_load_gold_basics():
     assert load_gold("\ufeff" + text) == entries
     crlf = text.replace("\n", "\r\n")
     assert load_gold(crlf) == load_gold("\ufeff" + crlf) == entries
-    assert load_gold("") == []
+    assert load_gold("") == load_gold("# only\n\n \r\n# comments\n") == []
 
 
 @pytest.mark.parametrize(
@@ -57,6 +58,13 @@ def test_load_gold_basics():
         ("abc\n", 1),
         ("ஒன்று\tஇரண்டு\tமூன்று\n", 1),
         ("ஒன்று\tஒன்று\n\tஇரண்டு\n", 2),
+        pytest.param("\ufeffa\tb\tc\nx\ty\na\tb\tc\n", 1, id="bom-repeated"),
+        pytest.param(
+            "a\tb\nc\td\na\tb\nc\td\ne\nc\td\ne\n", 5, id="late-repeated"
+        ),
+        pytest.param(
+            "a\tb\n# \udcff\na\tb\n# \udcff\n", 2, id="comment-repeated"
+        ),
     ],
 )
 def test_load_gold_errors_carry_line_numbers(text, line):
@@ -108,6 +116,8 @@ def test_load_gold_matches_a_line_by_line_oracle(seed):
             noisy.append(line.replace("\u0bca", "\u0bc6\u0bbe"))
         else:
             noisy.append(line)
+    # Line 1, after the BOM, repeats as the last two, ended LF and CRLF.
+    noisy = [lines[0], *noisy, lines[0], lines[0] + "\r"]
     text = "\ufeff" + "\n".join(noisy) + "\n"
     expected = _load_gold_line_by_line(text)
     assert len(expected) > 1500
@@ -267,6 +277,7 @@ def test_cli_compare_prints_the_library_report_on_mixed_spellings(seed):
         "மரம்",
         _nfd("கொடு"),
         "மரம்\tமரம்\tமரம்",
+        pytest.param("# மர\udcffம்", id="comment"),
     ],
 )
 def test_cli_compare_names_the_first_bad_line_as_load_gold_does(bad):
@@ -570,6 +581,65 @@ def test_compare_renders_as_the_engines_one_at_a_time():
         expected = _reference_report(gold, sizes, builtin_rules())
         for fmt in ("table", "csv", "json"):
             assert render(report, fmt) == render(expected, fmt)
+
+
+def _score_per_line(pairs, stems, engines, boundaries):
+    """`evaluation._score` as one loop over every line: the reference
+    the walk over each chunk's distinct pairs is checked against."""
+    first = {}
+    conflicts = set()
+    correct = [0] * engines
+    ends = set(boundaries)
+    last = max(ends, default=0)
+    points = []
+    for position, (surface, stem) in enumerate(pairs, start=1):
+        expected = first.get(surface)
+        if expected is None:
+            first[surface] = stem
+            if position <= last:
+                for index, got in enumerate(stems(surface)):
+                    if got == stem:
+                        correct[index] += 1
+        elif expected != stem:
+            conflicts.add(surface)
+        if position in ends:
+            points.append((position, len(first), *correct))
+    if not conflicts:
+        return points, None
+    return points, GoldConflictWarning(
+        "conflicting expected stems for duplicated surfaces "
+        f"(first occurrence wins): {', '.join(sorted(conflicts))}"
+    )
+
+
+@st.composite
+def _pairs_and_boundaries(draw):
+    """Pairs over three surfaces and two stems, so repeats and conflicts
+    occur, and strictly ascending boundaries within them."""
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy")))
+    )
+    ends = draw(st.sets(st.integers(1, len(pairs)))) if pairs else set()
+    return pairs, sorted(ends)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(_pairs_and_boundaries())
+def test_score_matches_a_per_line_loop(drawn):
+    # The points, the conflict message and the surfaces `stems` is
+    # asked, in order, are those of the loop over every line.
+    pairs, boundaries = drawn
+    results = []
+    for score in (_score_per_line, evaluation._score):
+        asked = []
+
+        def stems(surface):
+            asked.append(surface)
+            return "x", "yx"[surface == "a"]
+
+        points, conflict = score(pairs, stems, 2, boundaries)
+        results.append((points, conflict and str(conflict), asked))
+    assert results[1] == results[0]
 
 
 def test_compare_stems_nothing_after_the_last_chunk(monkeypatch):

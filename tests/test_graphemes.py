@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamilstem.graphemes import (
+    _NOT_FAST_NFC,
     normalize,
     segment,
     word,
@@ -132,6 +133,16 @@ _FAST_RANGE = tuple(
 )
 
 
+# The only pairs of code points in the fast range that NFC joins: they
+# compose to ஔ, ொ, ௌ and ோ.
+_NFC_PAIRS = {
+    ("\u0b92", "\u0bd7"),
+    ("\u0bc6", "\u0bbe"),
+    ("\u0bc6", "\u0bd7"),
+    ("\u0bc7", "\u0bbe"),
+}
+
+
 def test_unicodedata_joins_only_four_pairs_in_the_fast_range():
     # What `word` relies on to skip NFC.  A Unicode version that
     # breaks it fails here, not in a stem.
@@ -144,12 +155,24 @@ def test_unicodedata_joins_only_four_pairs_in_the_fast_range():
         for b in _FAST_RANGE
         if not unicodedata.is_normalized("NFC", a + b)
     }
-    assert joined == {
-        ("\u0b92", "\u0bd7"),
-        ("\u0bc6", "\u0bbe"),
-        ("\u0bc6", "\u0bd7"),
-        ("\u0bc7", "\u0bbe"),
-    }, version
+    assert joined == _NFC_PAIRS, version
+
+
+def test_not_fast_nfc_finds_what_its_plain_definition_does():
+    # `_NOT_FAST_NFC` finds something exactly where a code point is
+    # outside the fast range or the text holds one of the four pairs NFC
+    # joins: checked on each code point and each ordered pair of the
+    # Tamil block, the joiners, the code points at the edges of the
+    # fast range, a byte-order mark, a lone surrogate and Hangul.
+    fast = set(_FAST_RANGE)
+    alphabet = [chr(c) for c in range(0x0B80, 0x0C00)]
+    alphabet += ["\u200c", "\u200d", "\x00", "\u02ff", "\u0300", "\u0b7f"]
+    alphabet += ["\u0c00", "\u200b", "\ufeff", "\udcff", "가"]
+    for text in [*alphabet, *map("".join, itertools.product(alphabet, repeat=2))]:
+        expected = not fast.issuperset(text) or (
+            len(text) == 2 and tuple(text) in _NFC_PAIRS
+        )
+        assert (_NOT_FAST_NFC.search(text) is not None) == expected, ascii(text)
 
 
 def test_normalize_matches_nfc_on_each_code_point_of_the_fast_range():
