@@ -368,6 +368,33 @@ def test_stdio_is_utf8_whatever_the_locale(io_encoding):
 _CONFLICTING_GOLD = (GOLD_TEXT + "பெண்கள்\tபெண்கள்\n").encode()
 
 
+def _closing_pipe(
+    argv, source, fd: int, launch=("-c", _ENTRY), buffered=True
+):
+    """Run *argv* as `run_entry` does, on the file *source*, with file
+    descriptor *fd* a pipe whose reader leaves: after reading one line
+    of stdout, or before the child starts for stderr.  Reading from a
+    file, the test never writes to a dead pipe itself.  Return the exit
+    code and what the other output stream got."""
+    read, write = os.pipe()
+    if fd == 2:
+        os.close(read)  # the reader leaves before anything is written
+    with open(source, "rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, *launch, *argv],
+            stdin=stdin,
+            stdout=write if fd == 1 else subprocess.PIPE,
+            stderr=write if fd == 2 else subprocess.PIPE,
+            env=_entry_env("utf-8", buffered),
+        )
+    os.close(write)
+    if fd == 1:
+        with open(read, "rb") as reader:
+            assert reader.readline()
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, err if fd == 1 else out
+
+
 @pytest.mark.parametrize(
     "argv,data,fd",
     [
@@ -396,24 +423,33 @@ def test_closed_output_pipe_exits_141_quietly(argv, data, fd, tmp_path):
     source = tmp_path / "input"
     source.write_bytes(data)
     for buffered in (True, False):
-        read, write = os.pipe()
-        if fd == 2:
-            os.close(read)  # the reader leaves before anything is written
-        with open(source, "rb") as stdin:
-            proc = subprocess.Popen(
-                [sys.executable, "-c", _ENTRY, *argv],
-                stdin=stdin,
-                stdout=write if fd == 1 else subprocess.PIPE,
-                stderr=write if fd == 2 else subprocess.PIPE,
-                env=_entry_env("utf-8", buffered),
-            )
-        os.close(write)
-        if fd == 1:
-            with open(read, "rb") as reader:
-                assert reader.readline()
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == EX_PIPE, buffered
-        assert (err if fd == 1 else out) == b"", buffered
+        assert _closing_pipe(argv, source, fd, buffered=buffered) == (
+            EX_PIPE, b""
+        ), buffered
+
+
+@pytest.mark.parametrize(
+    "argv,data,fd",
+    [
+        (["stem"], "மரங்கள்\n".encode() * 200_000, 1),
+        (["generate", "--paradigm", "verb"], "படி\n".encode() * 2_000, 1),
+        (["stem", "--algo", "x"], b"", 2),
+    ],
+    ids=["stem", "generate", "stderr-usage-error"],
+)
+def test_closed_pipe_of_python_m_tamilstem_exits_141_quietly(
+    argv, data, fd, tmp_path
+):
+    # A reader that leaves early (`head`) closes tamilstem's output pipe,
+    # and ``python -B -m tamilstem`` then exits 141 (128 + SIGPIPE, as
+    # `cat` does) with nothing on stderr.  Each command writes far more
+    # than a pipe holds, so its writes fail after the reader has gone.
+    # A usage error written to a stderr pipe whose reader left before
+    # the start exits 141 as well.
+    source = tmp_path / "input"
+    source.write_bytes(data)
+    launch = ("-B", "-m", "tamilstem")
+    assert _closing_pipe(argv, source, fd, launch) == (EX_PIPE, b"")
 
 
 def test_closed_stdin_exits_66():
@@ -1345,6 +1381,64 @@ def test_mixed_gold_scores_as_the_nfc_gold_over_pipes():
     assert _piped(argv, "".join(mixed).encode()) == (
         _piped(argv, "".join(lines).encode())
     )
+
+
+# Tokens that `stem` walks by letters: a non-NFC spelling (ெ + ா), a
+# zero-width joiner, e + combining acute; plain Latin words; and words
+# the rule files below rewrite.  The last one's text walk must hand over
+# at லம் -> ா, whose ா NFC joins to the ெ before it.
+_MIXED_TOKENS = "".join(
+    token + "\n"
+    for token in (
+        "மரங்கெ\u0bbeள்", "கெ\u0bbeலம்", "மரங்கள்\u200dஉக்கு", "படி\u200d",
+        "cafe\u0301", "cafe\u0301s", "computer", "singing", "cats",
+        "படலம்", "படலங்கள்", "படலம்உக்கு", "கெலம்", "மரங்கள்உக்கு",
+        "z가xy", "z각", "படகெலம்",
+    )
+).encode()
+# A merging replacement (லம் -> ா): the walk over a token's text hands
+# over to the walk over its letters.
+_MERGING_RULE_FILE = (
+    "Case\tலம்\tா\t2\tPlural\nCase\tஉக்கு\t\t1\tPlural\n"
+    "Plural\tங்கள்\tம்\t1\t\n"
+)
+# A replacement, the Hangul trailing consonant U+11A8, that NFC joins to
+# the kept syllable 가: the step re-segments, so the next rule strips the
+# composed 각.
+_HANGUL_RULE_FILE = "Case\txy\t\u11a8\t1\tCase\nCase\t각\t\t1\t\n"
+
+
+def test_plain_and_traced_stem_agree_over_pipes(tmp_path):
+    # `stem` takes one walk per token, traced or not, and without
+    # --trace writes exactly the lines of `stem --trace` that are not
+    # trace lines, for both engines.  The input is the generated words
+    # of a noun and a verb, then the mixed tokens; the rules are the
+    # built-in ones, then the merging and the Hangul rule files.
+    generated = _piped(
+        ["generate", "--paradigm", "noun"], "மரம்\n".encode()
+    ) + _piped(["generate", "--paradigm", "verb"], "படி\n".encode())
+    words = b"".join(
+        line.split(b"\t")[0] + b"\n" for line in generated.splitlines()
+    )
+    merging, hangul = tmp_path / "merging", tmp_path / "hangul"
+    merging.write_text(_MERGING_RULE_FILE, encoding="utf-8")
+    hangul.write_text(_HANGUL_RULE_FILE, encoding="utf-8")
+    assert _piped(["stem", "--rules", str(hangul)], "z가xy\n".encode()) == (
+        "z가xy\tz\n".encode()
+    )
+    for rules, inputs in (
+        ([], (words, _MIXED_TOKENS)),
+        (["--rules", str(merging)], (words, _MIXED_TOKENS)),
+        # No Hangul rule matches a generated Tamil word.
+        (["--rules", str(hangul)], (_MIXED_TOKENS,)),
+    ):
+        for data in inputs:
+            for algo in sorted(ENGINES):
+                argv = ["stem", "--algo", algo, *rules]
+                traced = _piped([*argv, "--trace"], data).splitlines(True)
+                plain = [line for line in traced if not line.startswith(b"#")]
+                assert plain != traced, argv
+                assert _piped(argv, data) == b"".join(plain), argv
 
 
 @pytest.mark.parametrize(

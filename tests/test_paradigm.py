@@ -130,7 +130,9 @@ def test_build_corpus_accepts_custom_roots():
     assert pairs == generate_forms("படி", "verb")
 
 
-# Every ending the tables attach to a base.
+# Every ending the tables attach to a base: the pieces, and the whole
+# endings in `_TABLES` that the builders join, such as ம்ஐ and
+# ங்கள்உக்கு ("" stands for the base alone, which joins nothing).
 _ENDINGS = sorted({
     *paradigm._SHARED_CASES, paradigm._VOCATIVE,
     paradigm._LOC_ANIMATE, paradigm._ABL_ANIMATE,
@@ -138,6 +140,7 @@ _ENDINGS = sorted({
     paradigm._PLURAL, paradigm._M_PLURAL,
     *paradigm._PAST, *paradigm._PRESENT, *paradigm._FUTURE,
     *paradigm._NEGATIVE,
+    *(e for _, endings in paradigm._TABLES.values() for e in endings if e),
 })
 
 
