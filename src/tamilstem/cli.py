@@ -183,14 +183,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _not_utf8(lineno: int, reason, source: str = "<stdin>") -> _CliError:
+    """The error for line *lineno* of *source*: not valid UTF-8, as
+    *reason* says."""
+    return _CliError(
+        EX_DATA, f"{source}: line {lineno}: not valid UTF-8 ({reason})"
+    )
+
+
 def _decode(data: bytes, source: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise _CliError(
-            EX_DATA, f"{source}: line {line}: not valid UTF-8 ({exc.reason})"
-        ) from None
+        raise _not_utf8(line, exc.reason, source) from None
 
 
 def _read_file(path: str) -> str:
@@ -251,10 +257,7 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
             try:
                 stem = _walk_text(rules, token, masks, trace)
             except ValueError as exc:  # a lone surrogate, from a bad byte
-                raise _CliError(
-                    EX_DATA,
-                    f"<stdin>: line {lineno}: not valid UTF-8 ({exc})",
-                ) from None
+                raise _not_utf8(lineno, exc) from None
             text = f"{token}\t{stem}\n"
             if trace:
                 text += _trace_text(trace)
@@ -341,19 +344,14 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
     `generate_forms` joins as letters (see `paradigm._gold_lines`)."""
     from .paradigm import _gold_lines
 
-    def bad_byte(lineno, message):
-        return _CliError(
-            EX_DATA, f"<stdin>: line {lineno}: not valid UTF-8 ({message})"
-        )
-
     write = stdout.write
-    for lineno, raw in _data_lines(stdin, bad_byte):
+    for lineno, raw in _data_lines(stdin, _not_utf8):
         line = raw.strip()
         _reject_tab(line, lineno, "root")
         try:
             root = word(line)
         except ValueError as exc:  # a lone surrogate, from a bad byte
-            raise bad_byte(lineno, exc) from None
+            raise _not_utf8(lineno, exc) from None
         try:
             write(_gold_lines(root, args.paradigm))
         except ValueError as exc:

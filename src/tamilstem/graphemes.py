@@ -61,7 +61,8 @@ def _joins_previous(ch: str) -> bool:
 # The combining marks of the Tamil block.  No code point below U+0300 is
 # one, so with the joiners these are all the marks a base character can
 # absorb in text that `_NOT_FAST_NFC` does not match: there, any other
-# code point starts a letter.
+# code point starts a letter, which lets ``rules._first_text_match``
+# read two letters from two code points.
 _TAMIL_MARKS = frozenset(
     chr(c) for c in range(0x0B80, 0x0C00) if _joins_previous(chr(c))
 )
@@ -88,29 +89,14 @@ _NOT_FAST_NFC = re.compile(
 # One letter, as `segment` clusters it: a consonant with its
 # dependent signs, an independent vowel or aytham with any AU length
 # mark, or any other character with its combining marks and joiners.
+# `word` splits text with it, and ``rules._first_text_match`` counts
+# with it the letters before a pattern where code points do not tell.
 _LETTER = re.compile(
     _char_class(_CONSONANTS) + _char_class(_DEPENDENT_SIGNS) + "*"
     "|" + _char_class(_INDEPENDENT_VOWELS | {_AYTHAM}) + "ௗ*"
     "|." + _char_class(_JOINS) + "*",
     re.DOTALL,
 )
-
-
-class _LetterCounts(dict):
-    """``_FIRST_LETTERS[k]`` matches the first *k* letters of text that
-    has at least *k*, each as `_LETTER` takes it: the lookahead takes a
-    whole letter and the backreference consumes it, where ``(?:L){k}``
-    would backtrack and read ``கா`` as ``க`` and ``ா``.  Each is
-    compiled on first use."""
-
-    def __missing__(self, k: int) -> "re.Pattern[str]":
-        self[k] = counter = re.compile(
-            f"(?:(?=({_LETTER.pattern}))\\1){{{k}}}", re.DOTALL
-        )
-        return counter
-
-
-_FIRST_LETTERS = _LetterCounts()
 
 
 def normalize(text: str) -> str:

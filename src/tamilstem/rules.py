@@ -27,8 +27,8 @@ miss.  A text's last two code points give the same lengths, so
 without segmenting it, for text that `_NOT_FAST_NFC` finds nothing in.
 There, whether two letters come before a pattern is read from the
 text's second or third code point; only where neither settles it, or
-where a rule keeps more, are the letters counted (see
-`_first_text_match`).
+where a rule keeps more, does `_LETTER` split the text before the
+pattern to count its letters (see `_first_text_match`).
 """
 
 import enum
@@ -38,8 +38,8 @@ from functools import lru_cache
 
 from .graphemes import (
     _DEPENDENT_SIGNS,
-    _FIRST_LETTERS,
     _JOINS,
+    _LETTER,
     _NOT_FAST_NFC,
     GraphemeWord,
     _data_lines,
@@ -412,7 +412,10 @@ def _first_text_match(rules: RuleSet, text: str, mask: int) -> _Entry | None:
     in such text a code point outside `graphemes._JOINS` always starts
     a letter, so where ``text[1]``, or ``text[2]`` before the pattern,
     is one, there are two.  Where neither is, and for a rule that keeps
-    three letters or more, ``_FIRST_LETTERS[need]`` counts them.
+    three letters or more, `_LETTER` splits the text before the pattern
+    and its letters are counted.  No pattern starts with a code point
+    of `_JOINS` (see `_defect`), so that text ends where a letter does,
+    and its letters are the first letters of *text*.
     """
     n = len(text)
     index = rules._index
@@ -434,7 +437,7 @@ def _first_text_match(rules: RuleSet, text: str, mask: int) -> _Entry | None:
                                 or (end > 2 and text[2] not in _JOINS)
                             )
                         )
-                        or _FIRST_LETTERS[need].match(text, 0, end)
+                        or len(_LETTER.findall(text, 0, end)) >= need
                     )
                 ):
                     return entry

@@ -26,9 +26,14 @@ fails loudly if its property does not hold within the stated budget:
 10. comparison reports have the right shape, CSV carries the counts
    verbatim, and averages match exact rational arithmetic to within 1e-12
 11. light stems 10,000 words in under a second, and so does the CLI
+12. under the built-in rules, the CLI writes the pinned bytes for
+   ``stem --trace`` of both engines over the bundled gold surfaces, the
+   fuzz corpus and the universe of 5, and ``compare --format json`` of
+   the bundled gold
 """
 
 import csv
+import hashlib
 import io
 import itertools
 import random
@@ -583,6 +588,50 @@ def test_plain_stem_agrees_with_traced_stem_on_any_tokens(
     for name, (rules, flags) in stem_rule_sets.items():
         problems, _ = _plain_stem_problems(rules, flags, tokens)
         assert not problems, (name, problems, tokens)
+
+
+# The SHA-256 of the CLI output `test_cli_output_bytes_are_pinned`
+# writes.  A change that keeps stems, traces and reports the same
+# leaves it as it is.
+_CLI_OUTPUT_SHA256 = (
+    "aacccc7b1850bd508d7eb3a617b6065ddf0e92cc8b809349a3240bc320dababb"
+)
+
+
+def test_cli_output_bytes_are_pinned(capsys, fuzz_corpus):
+    gold = ts.bundled_gold()
+    word_lists = {
+        "bundled gold": [e.surface.text for e in gold],
+        "fuzz corpus": [w.text for w in fuzz_corpus],
+        "oracle universe": [w.text for w in _oracle_universe(_oracle_rules())],
+    }
+    runs = [
+        (["stem", "--algo", algo, "--trace"], "".join(t + "\n" for t in words))
+        for words in word_lists.values()
+        for algo in ("light", "strip")
+    ]
+    runs.append((
+        ["compare", "--format", "json"],
+        "".join(f"{e.surface.text}\t{e.expected_stem.text}\n" for e in gold),
+    ))
+    digest = hashlib.sha256()
+    problems = []
+    for argv, text in runs:
+        code, out, err = _run_stem(argv, text)
+        if (code, err) != (cli.EX_OK, ""):
+            problems.append(f"{' '.join(argv)}: exit {code}, stderr {err!r}")
+        digest.update(out.encode("utf-8"))
+    if digest.hexdigest() != _CLI_OUTPUT_SHA256:
+        problems.append(f"output SHA-256 {digest.hexdigest()}")
+    _report(
+        capsys,
+        not problems,
+        f"{len(runs)} CLI runs over "
+        + ", ".join(f"{len(w)} {name}" for name, w in word_lists.items())
+        + " words write the pinned bytes"
+        if not problems
+        else "; ".join(problems),
+    )
 
 
 def test_segmentation_joins_back_over_fixture(capsys):

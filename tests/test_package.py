@@ -2,21 +2,26 @@
 its public names are declared, that each has a caller, the names of
 ``evaluation`` and ``paradigm`` that load on first access, that scoring
 needs only the standard library, reading the bundled data from a zip,
-and the README's library example."""
+the README's library example, and where the text walk counts letters."""
 
 import ast
 import glob
 import importlib
+import io
 import os
 import re
 import subprocess
 import sys
 import zipfile
+from unittest import mock
 
 import pytest
 
 import tamilstem
-from tamilstem.graphemes import _packaged_text
+from tamilstem import cli, rules
+from tamilstem.evaluation import bundled_gold
+from tamilstem.graphemes import _LETTER, _packaged_text
+from tamilstem.paradigm import default_roots
 
 SRC = os.path.dirname(os.path.dirname(tamilstem.__file__))
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,51 +68,57 @@ def test_stemming_loads_only_the_engine():
     assert out == "[]\n"
 
 
-def test_the_library_engines_compile_no_letter_count():
-    # Only the walk over text counts letters, with patterns that are
-    # compiled on first use.
-    out = _fresh(
-        "import tamilstem\n"
-        "from tamilstem.graphemes import _FIRST_LETTERS\n"
-        "for engine in (tamilstem.light_stem, tamilstem.strip_stem):\n"
-        "    assert engine('மரங்கள்உக்கு').stem.text == 'மரம்'\n"
-        "print(len(_FIRST_LETTERS))"
-    )
-    assert out == "0\n"
+def _counting_letters():
+    """Wrap ``rules._LETTER``, whose only use in `rules` is the text
+    walk's letter count, so that its ``findall`` calls are counted."""
+    return mock.patch.object(rules, "_LETTER", wraps=_LETTER)
 
 
-def test_the_cli_walks_compile_no_letter_count():
+def test_the_library_engines_count_no_letters():
+    # Only the walk over text counts letters.
+    with _counting_letters() as letters:
+        for engine in (tamilstem.light_stem, tamilstem.strip_stem):
+            assert engine("மரங்கள்உக்கு").stem.text == "மரம்"
+            assert engine("கைகள்").stem.text == "கைகள்"
+    assert letters.findall.call_count == 0
+
+
+def _run(argv, text):
+    out = io.StringIO()
+    assert cli.main(argv, io.StringIO(text), out) == 0
+    return out.getvalue()
+
+
+def test_the_cli_walks_count_no_letters():
     # The text walk reads the two letters each built-in rule keeps from
-    # two code points, so neither `stem` nor `compare` compiles a count
+    # two code points, so neither `stem` nor `compare` counts letters
     # over the bundled gold or `generate` output of the default roots.
-    out = _fresh(
-        "import io\n"
-        "from tamilstem import cli\n"
-        "from tamilstem.evaluation import bundled_gold\n"
-        "from tamilstem.graphemes import _FIRST_LETTERS\n"
-        "from tamilstem.paradigm import default_roots\n"
-        "def run(argv, text):\n"
-        "    out = io.StringIO()\n"
-        "    assert cli.main(argv, io.StringIO(text), out) == 0\n"
-        "    return out.getvalue()\n"
-        "golds = [''.join(f'{e.surface.text}\\t{e.expected_stem.text}\\n'\n"
-        "                 for e in bundled_gold())]\n"
-        "for paradigm in ('noun', 'verb'):\n"
-        "    roots = ''.join(f'{r.text}\\n' for r, p in default_roots()\n"
-        "                    if p == paradigm)\n"
-        "    golds.append(run(['generate', '--paradigm', paradigm], roots))\n"
-        "stripped = 0\n"
-        "for gold in golds:\n"
-        "    words = ''.join(line.split('\\t')[0] + '\\n'\n"
-        "                    for line in gold.splitlines())\n"
-        "    for algo in ('light', 'strip'):\n"
-        "        for trace in ([], ['--trace']):\n"
-        "            out = run(['stem', '--algo', algo, *trace], words)\n"
-        "            stripped += out.count('\\n# ')\n"
-        "    run(['compare', '--format', 'csv'], gold)\n"
-        "print(stripped > 0, len(_FIRST_LETTERS))"
-    )
-    assert out == "True 0\n"
+    golds = [
+        "".join(f"{e.surface.text}\t{e.expected_stem.text}\n"
+                for e in bundled_gold())
+    ]
+    for paradigm in ("noun", "verb"):
+        roots = "".join(
+            f"{r.text}\n" for r, p in default_roots() if p == paradigm
+        )
+        golds.append(_run(["generate", "--paradigm", paradigm], roots))
+    stripped = 0
+    with _counting_letters() as letters:
+        for gold in golds:
+            words = "".join(
+                line.split("\t")[0] + "\n" for line in gold.splitlines()
+            )
+            for algo in ("light", "strip"):
+                for trace in ([], ["--trace"]):
+                    out = _run(["stem", "--algo", algo, *trace], words)
+                    stripped += out.count("\n# ")
+            _run(["compare", "--format", "csv"], gold)
+        assert stripped > 0
+        assert letters.findall.call_count == 0
+        # The vowel sign of கை joins, and கள், which keeps two letters,
+        # starts at the third code point: only a count tells.
+        assert _run(["stem"], "கைகள்\n") == "கைகள்\tகைகள்\n"
+        assert letters.findall.call_count == 1
 
 
 def test_stem_command_loads_only_the_engine():

@@ -16,8 +16,8 @@ from tamilstem.cli import EX_OK, EX_RULE_CONFLICT, main
 from tamilstem.evaluation import GoldError, load_gold
 from tamilstem.graphemes import (
     _DEPENDENT_SIGNS,
-    _FIRST_LETTERS,
     _JOINS,
+    _LETTER,
     _NOT_FAST_NFC,
     _joins_previous,
     normalize,
@@ -769,7 +769,7 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
 # patterns of one and two code points, Latin patterns, a merging
 # replacement (`லம்` gives way to the vowel sign `ா`), where the text
 # walk hands over to the letter walk, and rules that keep three or four
-# letters, which the text walk counts with `_FIRST_LETTERS`.
+# letters, which the text walk counts by splitting with `_LETTER`.
 _TEXT_WALK_RULES = (
     "",
     "Case\tஐ\t\t1\t\nVocative\tஏ\t\t1\t\nPlural\tள்\t\t1\t\n",
@@ -886,34 +886,32 @@ _fast_text = (
 )
 
 
-class _CountingLetters:
-    """Stands in for `_FIRST_LETTERS`, recording each count asked for."""
-
-    def __getitem__(self, k):
-        self.asked.append(k)
-        return _FIRST_LETTERS[k]
-
-
 @settings(max_examples=500, derandomize=True)
 @given(_fast_text)
 def test_two_letters_are_read_from_two_code_points(text):
     """Where ``text[1]``, or ``text[2]`` before the pattern, is outside
-    `_JOINS`, `segment` finds two letters before it.  `_FIRST_LETTERS[2]`
-    agrees with `segment` at every end, and `_first_text_match` asks it
-    only where neither code point settles the count."""
+    `_JOINS`, `segment` finds two letters before it.  For rules that
+    keep 2, 3 and 4 letters, `_first_text_match` agrees with `segment`
+    at every end.  It splits with `_LETTER` only where at least that
+    many code points come before the pattern and, for two letters,
+    neither of those code points settles the count."""
     assert _DEPENDENT_SIGNS <= _JOINS
-    rs = parse_rules("Case\tz\t\t2\t\n")  # keeps two letters before z
-    letters = _CountingLetters()
+    # Each keeps *need* letters before z.
+    rule_sets = {
+        need: parse_rules(f"Case\tz\t\t{need}\t\n") for need in (2, 3, 4)
+    }
     for end in range(2, len(text) + 1):
-        two = len(segment(text[:end])) >= 2
+        n_letters = len(segment(text[:end]))
         shortcut = text[1] not in _JOINS or (end > 2 and text[2] not in _JOINS)
-        assert two or not shortcut
-        assert bool(_FIRST_LETTERS[2].match(text, 0, end)) == two
-        letters.asked = []
-        with mock.patch.object(rules_module, "_FIRST_LETTERS", letters):
-            found = _first_text_match(rs, text[:end] + "z", _ALL)
-        assert (found is not None) == two
-        assert letters.asked == ([] if shortcut else [2])
+        assert n_letters >= 2 or not shortcut
+        for need, rs in rule_sets.items():
+            with mock.patch.object(
+                rules_module, "_LETTER", wraps=_LETTER
+            ) as letters:
+                found = _first_text_match(rs, text[:end] + "z", _ALL)
+            assert (found is not None) == (n_letters >= need)
+            counted = need <= end and not (need == 2 and shortcut)
+            assert letters.findall.call_count == counted
 
 
 def test_the_text_walk_probes_no_pattern_longer_than_the_word():
