@@ -26,21 +26,31 @@ fails loudly if its property does not hold within the stated budget:
 10. comparison reports have the right shape, CSV carries the counts
    verbatim, and averages match exact rational arithmetic to within 1e-12
 11. light stems 10,000 words in under a second, and so does the CLI
-12. under the built-in rules, the CLI writes the pinned bytes for
-   ``stem --trace`` of both engines over the bundled gold surfaces, the
-   fuzz corpus and the universe of 5, and ``compare --format json`` of
-   the bundled gold
+12. every CLI surface writes pinned bytes: one SHA-256 per group of
+   runs (``stem`` under the built-in rules and under user rule files,
+   ``eval``, ``compare``, ``generate``, ``rules-validate`` and the error
+   paths) over each run's argv, exit code, stdout and stderr
+13. under the built-in rules, CLI ``stem`` (light traced, strip),
+   ``compare --format csv`` and ``generate`` give what the independent
+   ``benchmarks/reference.py`` gives, over the bundled gold, the
+   universe of 5 and the confusable-root slice
+14. paper claim 1's direction: light never removes more letters than
+   strip, over those word lists and Hypothesis words
 """
 
 import csv
 import hashlib
+import importlib.util
 import io
 import itertools
+import platform
 import random
+import sys
 import time
 import unicodedata
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +60,7 @@ from tamilstem import cli
 from tamilstem.graphemes import _NOT_FAST_NFC
 from tamilstem.rules import _class_mask, _resegments
 from tamilstem.stemmers import _LIGHT, _STRIP, _both, _walk, _walk_text
+from test_cli import _MIXED_TOKENS
 
 FUZZ_SEED = 987654321
 
@@ -225,12 +236,10 @@ def test_light_scores_at_least_strip_on_bundled_gold(capsys):
     )
 
 
-def test_light_beats_strip_on_confusable_roots(capsys):
-    # Paper claim 1 on a slice where the engines differ: each root is
-    # பட plus a built-in rule's pattern, so its ending looks like a
-    # suffix, and both paradigms inflect it.  The slice is adversarial
-    # to strip by construction, so it is never averaged with the
-    # bundled gold.
+def _confusable_slice():
+    """The confusable-root slice, where the engines differ: its roots and
+    its gold entries.  Each root is பட plus a built-in rule's pattern, so
+    its ending looks like a suffix, and both paradigms inflect it."""
     roots = ["பட" + rule.pattern.text for rule in ts.builtin_rules().rules]
     gold = [
         ts.GoldEntry(surface, stem)
@@ -238,6 +247,14 @@ def test_light_beats_strip_on_confusable_roots(capsys):
         for paradigm in ts.PARADIGMS
         for surface, stem in ts.generate_forms(root, paradigm)
     ]
+    return roots, gold
+
+
+def test_light_beats_strip_on_confusable_roots(capsys):
+    # Paper claim 1 on the confusable-root slice.  The slice is
+    # adversarial to strip by construction, so it is never averaged with
+    # the bundled gold.
+    gold = _confusable_slice()[1]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ts.GoldConflictWarning)
         (row,) = ts.compare(gold, [len(gold)]).rows
@@ -590,48 +607,327 @@ def test_plain_stem_agrees_with_traced_stem_on_any_tokens(
         assert not problems, (name, problems, tokens)
 
 
-# The SHA-256 of the CLI output `test_cli_output_bytes_are_pinned`
-# writes.  A change that keeps stems, traces and reports the same
-# leaves it as it is.
-_CLI_OUTPUT_SHA256 = (
-    "aacccc7b1850bd508d7eb3a617b6065ddf0e92cc8b809349a3240bc320dababb"
-)
+def _lines(items) -> str:
+    return "".join(f"{item}\n" for item in items)
 
 
-def test_cli_output_bytes_are_pinned(capsys, fuzz_corpus):
-    gold = ts.bundled_gold()
-    word_lists = {
-        "bundled gold": [e.surface.text for e in gold],
+def _gold_text(entries) -> str:
+    return "".join(f"{e.surface.text}\t{e.expected_stem.text}\n" for e in entries)
+
+
+@pytest.fixture(scope="module")
+def word_lists(fuzz_corpus):
+    """The word lists the CLI gate, the reference check and the claim-1
+    property read, by name."""
+    return {
+        "bundled gold": [e.surface.text for e in ts.bundled_gold()],
         "fuzz corpus": [w.text for w in fuzz_corpus],
         "oracle universe": [w.text for w in _oracle_universe(_oracle_rules())],
+        "slice": [e.surface.text for e in _confusable_slice()[1]],
     }
-    runs = [
-        (["stem", "--algo", algo, "--trace"], "".join(t + "\n" for t in words))
-        for words in word_lists.values()
-        for algo in ("light", "strip")
-    ]
-    runs.append((
-        ["compare", "--format", "json"],
-        "".join(f"{e.surface.text}\t{e.expected_stem.text}\n" for e in gold),
-    ))
+
+
+# The files the gated runs name, written to the folder the runs start
+# in, so that no absolute path reaches a message: user rule files, the
+# defective rule files of tests/test_cli.py and gold files.
+def _gate_files() -> "dict[str, bytes]":
+    gold = ts.bundled_gold()
+    texts = {
+        "oracle-subset.tsv": ts.render_rules(_oracle_rules()),
+        "merging.tsv": _MERGING_RULES,
+        "hangul.tsv": _NFC_JOINING_RULES,
+        "empty.tsv": "",
+        "conflict.tsv": "Plural\tகள்\t\t2\t\nPlural\tகள்\t\t2\t\n",
+        "malformed.tsv": "nonsense\n",
+        "unknown-class.tsv": "duplicate rule\tx\t\t1\t\n",
+        "dead-pattern.tsv": "Case\tஐ\t\t1\t\nCase\tா\t\t1\t\n",
+        "padded.tsv": "Case\t உக்கு \t \t2\t\n",
+        "both.tsv": "Case\tஉக்கு\t\t2\t\nCase\t உக்கு \t \t2\t\n",
+        "blank.tsv": "Case\t \t\t2\t\n",
+        "extra_gold.tsv": _gold_text(ts.extra_gold()),
+        "nfd-gold.tsv": unicodedata.normalize("NFD", _gold_text(gold)),
+        "short-gold.tsv": "a\tb\n",
+    }
+    files = {name: text.encode("utf-8") for name, text in texts.items()}
+    files["lone-surrogate.tsv"] = "# \udcff\n".encode("utf-8", "surrogatepass")
+    files["undecodable.tsv"] = b"\xff\n"
+    files["undecodable-line-2.tsv"] = "# ok\n".encode() + b"\xc3\x28\n"
+    return files
+
+
+_STEM_FLAGS = [
+    ["--algo", algo, *trace]
+    for algo in ("light", "strip")
+    for trace in ([], ["--trace"])
+]
+_CHUNKS = ["--chunks", "200,400,600,1080"]
+
+
+def _gate_runs(lists) -> "dict[str, list[tuple[list[str], str, int]]]":
+    """Each group's CLI runs: (argv, stdin, exit code)."""
+    ok, data, conflict = cli.EX_OK, cli.EX_DATA, cli.EX_RULE_CONFLICT
+    gold = ts.bundled_gold()
+    gold_text = _gold_text(gold)
+    roots, slice_gold = _confusable_slice()
+    slice_text = _gold_text(slice_gold)
+    gold_lines = gold_text.splitlines(keepends=True)
+    mixed_text = "".join(
+        unicodedata.normalize("NFD", line) if i % 2 else line
+        for i, line in enumerate(gold_lines)
+    )
+    default_roots = _lines(r.text for r, _ in ts.default_roots())
+    mixed_tokens = _MIXED_TOKENS.decode("utf-8") + _lines(lists["bundled gold"])
+    return {
+        "stem-builtin": [
+            (["stem", *flags], _lines(lists[name]), ok)
+            for name in ("bundled gold", "fuzz corpus", "oracle universe", "slice")
+            for flags in _STEM_FLAGS
+        ],
+        "stem-user-rules": [
+            (["stem", *flags, "--rules", path], mixed_tokens, ok)
+            for path in ("oracle-subset.tsv", "merging.tsv", "hangul.tsv", "empty.tsv")
+            for flags in _STEM_FLAGS
+        ],
+        "eval": [
+            (["eval", "--algo", algo, *source], text, ok)
+            for source, text in (
+                ([], gold_text),
+                (["--gold", "extra_gold.tsv"], ""),
+                ([], slice_text),
+                (["--gold", "nfd-gold.tsv"], ""),
+            )
+            for algo in ("light", "strip")
+        ],
+        "compare": [
+            (["compare", "--format", fmt, *chunks], text, ok)
+            for text in (
+                gold_text,
+                "".join(line + line for line in gold_lines),
+                mixed_text,
+                slice_text,
+            )
+            for fmt in ("table", "csv", "json")
+            for chunks in ([], _CHUNKS)
+        ],
+        "generate": [
+            (["generate", "--paradigm", paradigm], text, ok)
+            for text in (default_roots, _lines(roots))
+            for paradigm in ts.PARADIGMS
+        ],
+        "rules-validate": [
+            (["rules-validate", *path], "", code)
+            for path, code in (
+                ([], ok),
+                (["padded.tsv"], ok),
+                (["conflict.tsv"], conflict),
+                (["both.tsv"], conflict),
+                (["malformed.tsv"], data),
+                (["unknown-class.tsv"], data),
+                (["dead-pattern.tsv"], data),
+                (["blank.tsv"], data),
+                (["lone-surrogate.tsv"], data),
+                (["undecodable.tsv"], data),
+            )
+        ],
+        "errors": [
+            # A lone surrogate on stdin, as `entry` decodes a bad byte.
+            (["stem"], "மரம்\nக\udcffள்\n", data),
+            (["stem", "--trace"], "மரம்\nமரங்கள்\nக\udcffள்\nமரம்\nக\udcffள்\n", data),
+            (["eval"], "மரம்\tமரம்\nக\udcff\tக\n", data),
+            (["compare"], "மரம்\tமரம்\nக\tக\udcff\n", data),
+            (["generate", "--paradigm", "verb"], "படி\nப\udcffடி\n", data),
+            # An inner tab.
+            (["stem"], "மரங்கள்\nமரங்கள்\tபெண்கள்\n", data),
+            (["stem", "--trace"], "மரங்கள்\nமரங்கள்\tபெண்கள்\n", data),
+            (["generate", "--paradigm", "noun"], "# roots\nமரம்\tபெண்\n", data),
+            # Empty and malformed gold, and bad files.
+            *(
+                ([command], text, data)
+                for command in ("eval", "compare")
+                for text in ("", "\ufeff# only\n\n \r\n# comments\n")
+            ),
+            (["eval"], "justoneword\n", data),
+            (["compare"], "மரம்\tமரம்\tமரம்\n", data),
+            (["eval", "--gold", "undecodable-line-2.tsv"], "", data),
+            (["stem", "--rules", "undecodable-line-2.tsv"], "மரம்\n", data),
+            (["stem", "--rules", "malformed.tsv"], "மரம்\n", data),
+            # A chunk past the end.
+            (["compare", "--chunks", "2"], "a\tb\n", data),
+            (["compare", "--chunks", "2", "--gold", "short-gold.tsv"], "", data),
+            (["compare", "--chunks", "200,1081"], gold_text, data),
+            # A root that is too short.
+            (["generate", "--paradigm", "noun"], "மரம்\nப\n", data),
+            (["generate", "--paradigm", "verb"], "படி\nப\n", data),
+        ],
+    }
+
+
+# One SHA-256 per group of `_gate_runs`, over each run's argv, exit
+# code, stdout and stderr.  A change that keeps every CLI byte and exit
+# code leaves them as they are; one that changes a group's bytes on
+# purpose re-pins that group's digest, which a failure prints.
+_CLI_GROUP_SHA256 = {
+    "stem-builtin": (
+        "a13c3e88574d3802d7fde8a8c63fadfbb22a7f251ad285154bf887f3f052c1e8"
+    ),
+    "stem-user-rules": (
+        "e72e429f5b04b966d39853303a4706830c34f0be93ec79f77bf62b7260d80e2d"
+    ),
+    "eval": (
+        "073585b5bd5e796321161a6620f1b9111d66dff4ded272429b42e49e06c78823"
+    ),
+    "compare": (
+        "9427a13565e4d556f8d2c26c3fe607ee686d8f2f038aeab24766924263806256"
+    ),
+    "generate": (
+        "a21470f712ae3ce230359845b35f9c55f1110ef8c9f8b8ab44e47167663f50cd"
+    ),
+    "rules-validate": (
+        "1ff3a8ae5aedc961f7b601485d0597a9edc69ec0969ab81482e728c553195158"
+    ),
+    "errors": (
+        "7cf299c44885b7ffad08266c92e2b53c09950ee374bfb4e9893c355b2a1db16c"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def gate_runs(word_lists):
+    return _gate_runs(word_lists)
+
+
+@pytest.mark.parametrize("group", list(_CLI_GROUP_SHA256))
+def test_cli_group_bytes_are_pinned(
+    capsys, tmp_path, monkeypatch, gate_runs, group
+):
+    for name, data in _gate_files().items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
     digest = hashlib.sha256()
     problems = []
-    for argv, text in runs:
+    for argv, text, expected_code in gate_runs[group]:
         code, out, err = _run_stem(argv, text)
-        if (code, err) != (cli.EX_OK, ""):
-            problems.append(f"{' '.join(argv)}: exit {code}, stderr {err!r}")
-        digest.update(out.encode("utf-8"))
-    if digest.hexdigest() != _CLI_OUTPUT_SHA256:
-        problems.append(f"output SHA-256 {digest.hexdigest()}")
+        if code != expected_code:
+            problems.append(f"{' '.join(argv)}: exit {code}, want {expected_code}")
+        for field in ("\0".join(argv), str(code), out, err):
+            data = field.encode("utf-8", "surrogatepass")
+            digest.update(b"%d:%b" % (len(data), data))
+    pinned = _CLI_GROUP_SHA256[group]
+    if digest.hexdigest() != pinned:
+        problems.append(
+            f"SHA-256 {digest.hexdigest()}, pinned {pinned} (Python "
+            f"{platform.python_version()}, Unicode {unicodedata.unidata_version})"
+        )
     _report(
         capsys,
         not problems,
-        f"{len(runs)} CLI runs over "
-        + ", ".join(f"{len(w)} {name}" for name, w in word_lists.items())
-        + " words write the pinned bytes"
+        f"{group}: {len(gate_runs[group])} CLI runs write the pinned bytes"
         if not problems
-        else "; ".join(problems),
+        else f"{group}: " + "; ".join(problems),
     )
+
+
+def _reference():
+    """`benchmarks/reference.py`, loaded from its file: a stemmer, a
+    paradigm and a compare report that share no code with tamilstem
+    beyond reading ``RuleSet.rules``."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "reference.py"
+    spec = importlib.util.spec_from_file_location("_tamilstem_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_matches_the_independent_reference(capsys, word_lists):
+    # The reference covers Tamil text only, so the fuzz corpus stays out.
+    reference = _reference()
+    ref = reference.Reference(ts.builtin_rules())
+    problems = []
+    words = [
+        w
+        for name in ("bundled gold", "oracle universe", "slice")
+        for w in word_lists[name]
+    ]
+    text = _lines(words)
+    expected = {"light": [], "strip": []}
+    for w in words:
+        stem, steps = ref.light(w)
+        expected["light"].append(f"{w}\t{stem}\n")
+        expected["light"] += ("# " + "\t".join(step) + "\n" for step in steps)
+        expected["strip"].append(f"{w}\t{ref.strip(w)}\n")
+    for algo, trace in (("light", ["--trace"]), ("strip", [])):
+        got = _run_stem(["stem", "--algo", algo, *trace], text)
+        if got != (cli.EX_OK, "".join(expected[algo]), ""):
+            problems.append(f"stem --algo {algo} {' '.join(trace)}")
+
+    gold = ts.bundled_gold()
+    pairs = [(e.surface.text, e.expected_stem.text) for e in gold]
+    want, _ = reference.compare_csv(ref, pairs, [200, 400, 600, 1080])
+    got = _run_stem(["compare", "--format", "csv", *_CHUNKS], _gold_text(gold))
+    if got != (cli.EX_OK, _lines(want), ""):
+        problems.append("compare --format csv")
+
+    slice_roots = _confusable_slice()[0]
+    for roots in ([r.text for r, _ in ts.default_roots()], slice_roots):
+        for paradigm in ts.PARADIGMS:
+            code, out, err = _run_stem(
+                ["generate", "--paradigm", paradigm], _lines(roots)
+            )
+            surfaces = [line.split("\t")[0] for line in out.splitlines()]
+            want = [s for r in roots for s in reference.forms(r, paradigm)]
+            if (code, surfaces, err) != (cli.EX_OK, want, ""):
+                problems.append(f"generate --paradigm {paradigm}")
+    _report(
+        capsys,
+        not problems,
+        f"CLI stem (light traced, strip), compare and generate equal the "
+        f"independent reference on {len(words)} words"
+        if not problems
+        else "differ from the reference: " + "; ".join(problems),
+    )
+
+
+def _light_strips_more(words, rules):
+    """The words whose light stem has fewer letters than their strip stem."""
+    return [
+        w for w in words
+        if len(ts.light_stem(w, rules).stem) < len(ts.strip_stem(w, rules).stem)
+    ]
+
+
+def test_light_strips_no_more_letters_than_strip(capsys, word_lists):
+    # Paper claim 1's direction: under the built-in rules, light never
+    # removes more letters from a word than strip does.
+    words = [
+        w
+        for name in ("bundled gold", "oracle universe", "slice")
+        for w in word_lists[name]
+    ]
+    found = _light_strips_more(words, ts.builtin_rules())
+    _report(
+        capsys,
+        not found,
+        f"light keeps at least strip's letters on {len(words)} words"
+        if not found
+        else f"light strips more than strip on {len(found)} words, "
+        f"first: {found[:3]}",
+    )
+
+
+# The built-in patterns' letters, plus ப, ம and க.
+_CLAIM_LETTERS = sorted(
+    {g for rule in ts.builtin_rules().rules for g in rule.pattern.graphemes}
+    | {"ப", "ம", "க"}
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(letters=st.lists(st.sampled_from(_CLAIM_LETTERS), min_size=1, max_size=10))
+def test_light_strips_no_more_letters_than_strip_on_any_word(letters):
+    text = "".join(letters)
+    assert not _light_strips_more([text], ts.builtin_rules()), text
 
 
 def test_segmentation_joins_back_over_fixture(capsys):
