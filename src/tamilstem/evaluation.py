@@ -31,8 +31,6 @@ the scorer walks each chunk's distinct pairs once.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import warnings
 from fractions import Fraction
@@ -330,9 +328,8 @@ def _render_table(report: EvalReport) -> str:
 
 
 def _render_csv(report: EvalReport) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(_cells(report))
-    return out.getvalue()
+    # No cell holds a comma, a quote or a line break, so none is quoted.
+    return "".join(",".join(cells) + "\n" for cells in _cells(report))
 
 
 def _fraction_fields(value: Fraction | None) -> "str | None":

@@ -171,9 +171,6 @@ class GraphemeWord:
     def __len__(self) -> int:
         return len(self.graphemes)
 
-    def __bool__(self) -> bool:
-        return bool(self.graphemes)
-
     def __str__(self) -> str:
         return self.text
 
