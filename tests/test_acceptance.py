@@ -663,7 +663,8 @@ _STEM_FLAGS = [
 _CHUNKS = ["--chunks", "200,400,600,1080"]
 
 
-def _gate_runs(lists) -> "dict[str, list[tuple[list[str], str, int]]]":
+@pytest.fixture(scope="module")
+def gate_runs(word_lists) -> "dict[str, list[tuple[list[str], str, int]]]":
     """Each group's CLI runs: (argv, stdin, exit code)."""
     ok, data, conflict = cli.EX_OK, cli.EX_DATA, cli.EX_RULE_CONFLICT
     gold = ts.bundled_gold()
@@ -676,10 +677,10 @@ def _gate_runs(lists) -> "dict[str, list[tuple[list[str], str, int]]]":
         for i, line in enumerate(gold_lines)
     )
     default_roots = _lines(r.text for r, _ in ts.default_roots())
-    mixed_tokens = _MIXED_TOKENS.decode("utf-8") + _lines(lists["bundled gold"])
+    mixed_tokens = _MIXED_TOKENS.decode("utf-8") + _lines(word_lists["bundled gold"])
     return {
         "stem-builtin": [
-            (["stem", *flags], _lines(lists[name]), ok)
+            (["stem", *flags], _lines(word_lists[name]), ok)
             for name in ("bundled gold", "fuzz corpus", "oracle universe", "slice")
             for flags in _STEM_FLAGS
         ],
@@ -762,7 +763,7 @@ def _gate_runs(lists) -> "dict[str, list[tuple[list[str], str, int]]]":
     }
 
 
-# One SHA-256 per group of `_gate_runs`, over each run's argv, exit
+# One SHA-256 per group of `gate_runs`, over each run's argv, exit
 # code, stdout and stderr.  A change that keeps every CLI byte and exit
 # code leaves them as they are; one that changes a group's bytes on
 # purpose re-pins that group's digest, which a failure prints.
@@ -789,11 +790,6 @@ _CLI_GROUP_SHA256 = {
         "7cf299c44885b7ffad08266c92e2b53c09950ee374bfb4e9893c355b2a1db16c"
     ),
 }
-
-
-@pytest.fixture(scope="module")
-def gate_runs(word_lists):
-    return _gate_runs(word_lists)
 
 
 @pytest.mark.parametrize("group", list(_CLI_GROUP_SHA256))
@@ -840,19 +836,24 @@ def _reference():
     return module
 
 
-def test_cli_matches_the_independent_reference(capsys, word_lists):
-    # The reference covers Tamil text only, so the fuzz corpus stays out.
-    reference = _reference()
-    ref = reference.Reference(ts.builtin_rules())
-    problems = []
-    words = [
+@pytest.fixture(scope="module")
+def tamil_words(word_lists):
+    """Every word list but the fuzz corpus: the words of Tamil text only,
+    which is all that `benchmarks/reference.py` covers."""
+    return [
         w
         for name in ("bundled gold", "oracle universe", "slice")
         for w in word_lists[name]
     ]
-    text = _lines(words)
+
+
+def test_cli_matches_the_independent_reference(capsys, tamil_words):
+    reference = _reference()
+    ref = reference.Reference(ts.builtin_rules())
+    problems = []
+    text = _lines(tamil_words)
     expected = {"light": [], "strip": []}
-    for w in words:
+    for w in tamil_words:
         stem, steps = ref.light(w)
         expected["light"].append(f"{w}\t{stem}\n")
         expected["light"] += ("# " + "\t".join(step) + "\n" for step in steps)
@@ -883,7 +884,7 @@ def test_cli_matches_the_independent_reference(capsys, word_lists):
         capsys,
         not problems,
         f"CLI stem (light traced, strip), compare and generate equal the "
-        f"independent reference on {len(words)} words"
+        f"independent reference on {len(tamil_words)} words"
         if not problems
         else "differ from the reference: " + "; ".join(problems),
     )
@@ -897,19 +898,14 @@ def _light_strips_more(words, rules):
     ]
 
 
-def test_light_strips_no_more_letters_than_strip(capsys, word_lists):
+def test_light_strips_no_more_letters_than_strip(capsys, tamil_words):
     # Paper claim 1's direction: under the built-in rules, light never
     # removes more letters from a word than strip does.
-    words = [
-        w
-        for name in ("bundled gold", "oracle universe", "slice")
-        for w in word_lists[name]
-    ]
-    found = _light_strips_more(words, ts.builtin_rules())
+    found = _light_strips_more(tamil_words, ts.builtin_rules())
     _report(
         capsys,
         not found,
-        f"light keeps at least strip's letters on {len(words)} words"
+        f"light keeps at least strip's letters on {len(tamil_words)} words"
         if not found
         else f"light strips more than strip on {len(found)} words, "
         f"first: {found[:3]}",
