@@ -26,7 +26,7 @@ import argparse
 import io
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout, suppress
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 from . import __version__
@@ -183,20 +183,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _not_utf8(lineno: int, reason, source: str = "<stdin>") -> _CliError:
-    """The error for line *lineno* of *source*: not valid UTF-8, as
-    *reason* says."""
-    return _CliError(
-        EX_DATA, f"{source}: line {lineno}: not valid UTF-8 ({reason})"
-    )
-
-
-def _decode(data: bytes, source: str) -> str:
+def _decode(data: bytes, source: str, lineno: int = 1) -> str:
+    """*data*, the bytes of *source* from line *lineno* on, as text."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise _not_utf8(line, exc.reason, source) from None
+        lineno += data.count(b"\n", 0, exc.start)
+        message = f"line {lineno}: not valid UTF-8 ({exc.reason})"
+        raise _CliError(EX_DATA, f"{source}: {message}") from None
+
+
+def _refused(text: str, message, lineno=1, source="<stdin>") -> _CliError:
+    """The error for *text*, from line *lineno* of *source* on, that a
+    parser refused with *message*: a bad byte, which `entry` decodes to
+    a lone surrogate, is reported as `_decode` reports it in a file."""
+    try:
+        _decode(text.encode("utf-8", "surrogateescape"), source, lineno)
+    except _CliError as error:
+        return error
+    except UnicodeEncodeError:  # from a library caller's own surrogate
+        pass
+    return _CliError(EX_DATA, f"{source}: {message}")
 
 
 def _read_file(path: str) -> str:
@@ -256,8 +263,8 @@ def _cmd_stem(args, stdin, stdout, stderr) -> int:
             _reject_tab(token, lineno, "word")
             try:
                 stem = _walk_text(rules, token, masks, trace)
-            except ValueError as exc:  # a lone surrogate, from a bad byte
-                raise _not_utf8(lineno, exc) from None
+            except ValueError as exc:  # a lone surrogate
+                raise _refused(raw, f"line {lineno}: {exc}", lineno) from None
             text = f"{token}\t{stem}\n"
             if trace:
                 text += _trace_text(trace)
@@ -284,11 +291,7 @@ def _score_gold(args, stdin, stderr, chunks=None):
     except GoldError as exc:
         error = exc
     if error is not None:
-        # Bad stdin bytes, which `entry` decodes to lone surrogates, are
-        # reported first, as `_read_file` reports them in a file.
-        with suppress(UnicodeEncodeError):  # from any other surrogate
-            _decode(text.encode("utf-8", "surrogateescape"), source)
-        raise _CliError(EX_DATA, f"{source}: {error}")
+        raise _refused(text, error, source=source)  # a bad byte comes first
     try:
         report, conflict = _compare_texts(
             pairs, chunks or [len(pairs)], rules, fast
@@ -344,18 +347,17 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
     `generate_forms` joins as letters (see `paradigm._gold_lines`)."""
     from .paradigm import _gold_lines
 
+    def refused(lineno, message, raw):
+        return _refused(raw, f"line {lineno}: {message}", lineno)
+
     write = stdout.write
-    for lineno, raw in _data_lines(stdin, _not_utf8):
+    for lineno, raw in _data_lines(stdin, refused):
         line = raw.strip()
         _reject_tab(line, lineno, "root")
         try:
-            root = word(line)
-        except ValueError as exc:  # a lone surrogate, from a bad byte
-            raise _not_utf8(lineno, exc) from None
-        try:
-            write(_gold_lines(root, args.paradigm))
-        except ValueError as exc:
-            raise _CliError(EX_DATA, f"<stdin>: line {lineno}: {exc}") from None
+            write(_gold_lines(word(line), args.paradigm))
+        except ValueError as exc:  # a lone surrogate, or a short root
+            raise refused(lineno, exc, raw) from None
     return EX_OK
 
 
@@ -413,11 +415,11 @@ def entry() -> None:
 
     stdin, stdout and stderr are UTF-8 whatever the locale.  stdin
     decodes with ``surrogateescape``, so an undecodable byte reaches the
-    command as a lone surrogate and its error names the line; stdout and
-    stderr keep their error handlers (``reconfigure`` would reset them
-    to strict).  A closed output pipe, or a closed stdout, exits 141
-    with nothing on stderr, and a stderr pipe whose reader has left
-    exits 141 too.  With stderr closed, messages are dropped and the
+    command as a lone surrogate, reported as in a file (see `_refused`);
+    stdout and stderr keep their error handlers (``reconfigure`` would
+    reset them to strict).  A closed output pipe, or a closed stdout,
+    exits 141 with nothing on stderr, and a stderr pipe whose reader has
+    left exits 141 too.  With stderr closed, messages are dropped and the
     exit code and stdout are those of a run with it open.
     """
     if not _writable(sys.stdout):

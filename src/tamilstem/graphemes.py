@@ -243,13 +243,10 @@ def _text_lines(text: str) -> "list[str]":
 
 
 def _lines(source):
-    """Number from 1 the lines of *source*: a text, split by
-    `_text_lines`, or a stream of lines, whose first line loses a
-    leading byte-order mark as a text does."""
-    if isinstance(source, str):
-        yield from enumerate(_text_lines(source), start=1)
-        return
-    lines = iter(source)
+    """Number from 1 the lines of *source*, a text or a stream of lines,
+    as `_text_lines` splits a text: its first line loses a leading
+    byte-order mark."""
+    lines = iter(source.split("\n") if isinstance(source, str) else source)
     first = next(lines, None)
     if first is not None:
         yield 1, first.removeprefix("\ufeff")
@@ -260,8 +257,8 @@ def _data_lines(source, bad_comment):
     """`_lines` without the blank lines and ``#`` comments.
 
     A comment that carries a lone surrogate, the residue of a failed
-    decode, raises ``bad_comment(lineno, message)``, as a data line
-    carrying one would be reported.  Only comments are checked.
+    decode, raises ``bad_comment(lineno, message, line)``, as a data
+    line carrying one would be reported.  Only comments are checked.
     """
     for lineno, line in _lines(source):
         text = line.lstrip()
@@ -271,4 +268,4 @@ def _data_lines(source, bad_comment):
             try:
                 normalize(line)
             except ValueError as exc:
-                raise bad_comment(lineno, str(exc)) from None
+                raise bad_comment(lineno, str(exc), line) from None

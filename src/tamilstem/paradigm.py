@@ -162,7 +162,7 @@ def load_roots(text: str) -> list[tuple[GraphemeWord, str]]:
     offending line number.
     """
 
-    def error(lineno, message):
+    def error(lineno, message, *_):  # `_data_lines` adds the line
         return ValueError(f"line {lineno}: {message}")
 
     roots = []

@@ -253,7 +253,7 @@ def _defect(pattern: GraphemeWord, replacement=None, min_stem=1) -> str | None:
     return None
 
 
-def _line_error(lineno: int, message) -> RuleError:
+def _line_error(lineno: int, message, *_) -> RuleError:  # `*_`: the line
     return RuleError(f"line {lineno}: {message}", line=lineno)
 
 

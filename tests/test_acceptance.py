@@ -787,7 +787,7 @@ _CLI_GROUP_SHA256 = {
         "1ff3a8ae5aedc961f7b601485d0597a9edc69ec0969ab81482e728c553195158"
     ),
     "errors": (
-        "7cf299c44885b7ffad08266c92e2b53c09950ee374bfb4e9893c355b2a1db16c"
+        "7359c04162897a8b995cbb13cb674e0ddbb0de59ce8f142132a650cf32cd3988"
     ),
 }
 

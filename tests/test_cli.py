@@ -4,6 +4,7 @@ import collections
 import io
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -321,33 +322,43 @@ def run_entry(
 
 _BAD_UTF8 = "மரம்\n".encode() + b"ab\xff\xfecd\n"
 _BAD_GOLD = "மரம்\tமரம்\n".encode() + b"\xff\tx\n"
+# A letter cut off after two of its three bytes, then a space that
+# `strip` drops: the line, not the token, gives the decoder's reason.
+_CUT_OFF = b"\xe0\xae \n"
 
 
 @pytest.mark.parametrize(
-    "argv,data,io_encoding",
+    "argv,data,io_encoding,message",
     [
-        pytest.param(argv, data, io_encoding, id=name + suffix)
+        pytest.param(argv, data, io_encoding, message, id=name + cut + suffix)
         for io_encoding, suffix in (
             ("utf-8:surrogateescape", ""),
             ("utf-8:strict", "-strict"),
         )
-        for name, argv, data in (
+        for name, argv, bad in (
             ("stem", ["stem"], _BAD_UTF8),
             ("eval", ["eval"], _BAD_GOLD),
             ("compare", ["compare"], _BAD_GOLD),
             ("generate", ["generate", "--paradigm", "noun"], _BAD_UTF8),
         )
+        for cut, data, message in (
+            ("", bad, "line 2: not valid UTF-8 (invalid start byte)"),
+            ("-cut-off", _CUT_OFF,
+             "line 1: not valid UTF-8 (invalid continuation byte)"),
+        )
     ],
 )
-def test_undecodable_stdin_exits_65_with_line(argv, data, io_encoding):
+def test_undecodable_stdin_exits_65_with_line(
+    argv, data, io_encoding, message
+):
     # The console script decodes stdin the same way whatever the locale
-    # chose, so a strict PYTHONIOENCODING changes nothing.
+    # chose, so a strict PYTHONIOENCODING changes nothing, and every
+    # command reports the bad byte as a `--gold` file of it would be.
     proc = run_entry(argv, data, io_encoding)
     err = proc.stderr.decode("utf-8", "replace")
     assert proc.returncode == EX_DATA, err
-    assert err.startswith("tamilstem: error: <stdin>: line 2: ")
-    assert "Traceback" not in err
-    if argv == ["stem"]:
+    assert err == f"tamilstem: error: <stdin>: {message}\n"
+    if argv == ["stem"] and data == _BAD_UTF8:
         assert proc.stdout.decode() == "மரம்\tமரம்\n"
 
 
@@ -1252,7 +1263,7 @@ def test_undecodable_generate_root_reads_as_stem_reports_it():
     assert generated.returncode == stemmed.returncode == EX_DATA
     assert err == stemmed.stderr.decode() == (
         "tamilstem: error: <stdin>: line 2: not valid UTF-8 "
-        "(malformed text: lone surrogate at offset 0)\n"
+        "(invalid start byte)\n"
     )
     expected = run_cli(["generate", "--paradigm", "verb"], "படி\n")[1]
     assert generated.stdout.decode() == expected
@@ -1468,16 +1479,14 @@ def test_plain_and_traced_stem_agree_over_pipes(tmp_path):
             ["generate", "--paradigm", "verb"],
             "படி\n".encode() + b"\xff\n",
             "படி\n",
-            "line 2: not valid UTF-8 "
-            "(malformed text: lone surrogate at offset 0)",
+            "line 2: not valid UTF-8 (invalid start byte)",
             id="generate",
         ),
         pytest.param(
             ["generate", "--paradigm", "verb"],
             "படி\n".encode() + b"# \xff\n" + "மரம்\n".encode(),
             "படி\n",
-            "line 2: not valid UTF-8 "
-            "(malformed text: lone surrogate at offset 2)",
+            "line 2: not valid UTF-8 (invalid start byte)",
             id="generate-comment",
         ),
     ],
@@ -1573,7 +1582,27 @@ def _fuzz_bytes(rng):
     return b"".join(pieces)
 
 
+_NOT_UTF8 = re.compile(
+    r"tamilstem: error: (.+?): line (\d+): not valid UTF-8 \((.+)\)\n"
+)
+
+
+def _strict_reason(source: bytes, lineno: int) -> "str | None":
+    """Why line *lineno* of *source*, with its ``\\n``, fails a strict
+    decode; None if it decodes."""
+    line = source.split(b"\n")[lineno - 1]
+    if source.count(b"\n") >= lineno:
+        line += b"\n"
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.reason
+    return None
+
+
 def test_random_bytes_never_escape_main(tmp_path):
+    # Every command reports a bad byte, on stdin or in a file, with the
+    # reason a strict decode of that byte's line gives.
     rng = random.Random(20261018)
     path = tmp_path / "input.tsv"
     commands = [
@@ -1601,4 +1630,13 @@ def test_random_bytes_never_escape_main(tmp_path):
             code = main(argv, stdin=stdin, stdout=stdout, stderr=stderr)
             assert code in (EX_OK, EX_DATA), (argv, data, stderr.getvalue())
             codes[code] += 1
+            match = _NOT_UTF8.fullmatch(stderr.getvalue())
+            if match:
+                source, lineno, reason = match.groups()
+                raw = data if source == "<stdin>" else path.read_bytes()
+                assert _strict_reason(raw, int(lineno)) == reason, (
+                    argv, errors, data, stderr.getvalue()
+                )
+                codes["not UTF-8"] += 1
     assert codes[EX_OK] > 100 and codes[EX_DATA] > 100, codes
+    assert codes["not UTF-8"] > 1000, codes

@@ -258,8 +258,8 @@ def test_property_cli_generate_joins_the_text_oracle(root, m_final, kind):
         forms = _text_forms(root, kind)
     except ValueError as exc:
         message = str(exc)
-        if "surrogate" in message:
-            message = f"not valid UTF-8 ({message})"
+        if "surrogate" in message:  # the escaped byte 0xff of "\udcff"
+            message = "not valid UTF-8 (invalid start byte)"
         error = f"tamilstem: error: <stdin>: line 3: {message}\n"
         expected = (EX_DATA, first, error)
     else:
