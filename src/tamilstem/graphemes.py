@@ -30,7 +30,7 @@ running Python's ``unicodedata``.
 import os
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 __all__ = ["GraphemeWord", "normalize", "segment", "word"]
 
@@ -163,6 +163,10 @@ class GraphemeWord:
     engines read a word's *text*, last letter and letter count, so its
     letters must be those `segment` gives, as every word from `word`,
     `segment`, ``rules.apply_rule`` and the paradigm generator has.
+
+    The words ``light_stem`` and ``strip_stem`` build for a `str` walked
+    as text hold only their text until *graphemes* is first read (see
+    `_TextWord`).
     """
 
     graphemes: tuple[str, ...]
@@ -173,6 +177,53 @@ class GraphemeWord:
 
     def __str__(self) -> str:
         return self.text
+
+
+_set_graphemes = GraphemeWord.graphemes.__set__
+_set_text = GraphemeWord.text.__set__
+_set_class = object.__dict__["__class__"].__set__
+
+
+class _TextWord(GraphemeWord):
+    """A `GraphemeWord` that holds only its NFC text until its letters
+    are first read.  That read splits them as `word` does, fills the
+    slot and makes the object a plain `GraphemeWord`; until then it
+    gives `GraphemeWord` as its ``__class__``, so it compares, hashes,
+    prints, pickles and copies as one.
+
+    The hook is kept off `GraphemeWord`: CPython 3.11 specialises no
+    attribute read on a class with a ``__getattr__``, which slowed the
+    letter walk by a sixth and the paradigm generator by two fifths.
+    """
+
+    __slots__ = ()
+    __class__ = property(lambda self: GraphemeWord)
+
+    def __getattr__(self, name):
+        # Called only where the usual lookup fails: for *graphemes*
+        # before its first read, or for an unknown name.  Two threads
+        # racing to a first read both store the same letters and class.
+        if name != "graphemes":
+            msg = f"'GraphemeWord' object has no attribute {name!r}"
+            raise AttributeError(msg, name=name, obj=self)
+        graphemes = word(self.text).graphemes
+        _set_graphemes(self, graphemes)
+        _set_class(self, GraphemeWord)
+        return graphemes
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _text_word(text: str) -> GraphemeWord:
+    """The word of NFC *text*, holding only its text: its letters are
+    split on the first read of ``graphemes``."""
+    w = object.__new__(_TextWord)
+    _set_text(w, text)
+    return w
 
 
 def segment(text: str) -> GraphemeWord:

@@ -11,22 +11,26 @@ and stripping stops at a terminal class.  Substitution rules (plural
 ``ங்கள்``→``ம்``, participle ``டிய``→``டு``) restore the base form
 instead of merely cutting.
 
-A caller that returns letters walks letters: ``strip_stem`` and
-``light_stem`` are each one ``_walk`` over a word's letters and two
-class masks, the classes the first rule may take and those allowed
-after each step, or None to follow the rule's ``next_classes``.  A
-caller that needs only the stem's text, such as ``tamilstem stem`` and
-``_both`` (the strip and light stems that ``tamilstem eval`` and
-``compare`` score), walks text with ``_walk_text``, which hands over to
-``_walk`` where the text or a step must be segmented.  A walk records
-its steps only for a caller that passes it a list, and only
-``strip_stem`` and ``light_stem`` build a `StemResult`.  All leave
-unmatched words untouched, including non-Tamil input.
+Two walks apply the rules, each over two class masks: the classes the
+first rule may take and those allowed after each step, or None to
+follow the rule's ``next_classes``.  ``_walk`` walks a word's letters.
+``_walk_text`` walks text in which `_NOT_FAST_NFC` finds nothing, and
+hands over to ``_walk`` where the text or a step must be segmented.
+``strip_stem`` and ``light_stem`` walk the letters of a `GraphemeWord`
+or of other text, and walk a `str` in that range as text: the words of
+its `StemResult` then hold only their text, and split their letters
+when a caller first reads them.  A caller that needs only the stem's
+text, such as ``tamilstem stem`` and ``_both`` (the strip and light
+stems that ``tamilstem eval`` and ``compare`` score), walks text too
+and builds no `StemResult`.  A walk records its steps only for a
+caller that passes it a list.  All leave unmatched words untouched,
+including non-Tamil input.
 """
 
 from __future__ import annotations
 
-from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _record, word
+from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _record
+from .graphemes import _text_word, word
 from .rules import (
     ALL_CLASSES,
     RuleSet,
@@ -73,7 +77,7 @@ class StemResult:
 
 
 def _walk(
-    rules: RuleSet | None,
+    rules: RuleSet,
     text: GraphemeWord | str,
     masks: tuple[int, int | None],
     steps: list[StemStep] | None = None,
@@ -91,8 +95,6 @@ def _walk(
     appends one `StemStep` per applied rule to it, and otherwise builds
     no `StemStep` at all.
     """
-    if rules is None:
-        rules = builtin_rules()
     w = _as_word(text)
     first, then = masks
     entry = _first_match(rules, w, first)
@@ -147,6 +149,24 @@ def _walk_text(
     return stem.text
 
 
+def _text_result(
+    rules: RuleSet, text: str, masks: tuple[int, int | None]
+) -> StemResult:
+    """The `StemResult` of ``_walk(rules, text, masks)`` for *text* in
+    which `_NOT_FAST_NFC` finds nothing, from ``_walk_text``.  Its words
+    hold only their text; each step's *after* is the next step's
+    *before*, so no text's letters are split more than once."""
+    steps: list[tuple[SuffixRule, str]] = []
+    _walk_text(rules, text, masks, steps, True)
+    before = first = _text_word(text)
+    trace = []
+    for rule, after_text in steps:
+        after = _text_word(after_text)
+        trace.append(StemStep(rule, before, after))
+        before = after
+    return StemResult(first, before, tuple(trace))
+
+
 def strip_stem(
     text: GraphemeWord | str, rules: RuleSet | None = None
 ) -> StemResult:
@@ -154,7 +174,14 @@ def strip_stem(
 
     Stops when no rule matches or stripping would drop below a rule's
     minimum stem length.
+
+    A `str` that `_NOT_FAST_NFC` finds nothing in is walked as text; the
+    result's words split their letters when first read.
     """
+    if rules is None:
+        rules = builtin_rules()
+    if isinstance(text, str) and _NOT_FAST_NFC.search(text) is None:
+        return _text_result(rules, text, _STRIP)
     # Written out here and in light_stem: a shared helper would add a
     # call to every stem, a few per cent of a word's time.
     steps: list[StemStep] = []
@@ -193,7 +220,14 @@ def light_stem(
     The first rule may come from any class; each subsequent rule must
     belong to the previous rule's ``next_classes``.  An empty
     ``next_classes`` marks a terminal layer and ends the loop.
+
+    A `str` that `_NOT_FAST_NFC` finds nothing in is walked as text; the
+    result's words split their letters when first read.
     """
+    if rules is None:
+        rules = builtin_rules()
+    if isinstance(text, str) and _NOT_FAST_NFC.search(text) is None:
+        return _text_result(rules, text, _LIGHT)
     steps: list[StemStep] = []
     stem = _walk(rules, text, _LIGHT, steps)
     if not steps:  # no rule matches: the word is its own stem

@@ -796,7 +796,7 @@ def test_untraced_stem_and_letter_walks_build_no_trace(monkeypatch):
         code, out, _ = run_cli(["stem", "--algo", algo], text)
         assert (code, out) == (EX_OK, expected[algo])
     changed = sum(
-        stemmers._walk(None, s, masks).text != s
+        stemmers._walk(builtin_rules(), s, masks).text != s
         for masks in stemmers._ENGINE_MASKS.values()
         for s in surfaces
     )

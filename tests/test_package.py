@@ -2,7 +2,8 @@
 its public names are declared, that each has a caller, the names of
 ``evaluation`` and ``paradigm`` that load on first access, that scoring
 needs only the standard library, reading the bundled data from a zip,
-the README's library example, and where the text walk counts letters."""
+the README's library example, where the text walk counts letters and
+when a stem walked as text splits its letters."""
 
 import ast
 import glob
@@ -18,9 +19,9 @@ from unittest import mock
 import pytest
 
 import tamilstem
-from tamilstem import cli, rules
+from tamilstem import cli, graphemes, rules
 from tamilstem.evaluation import bundled_gold
-from tamilstem.graphemes import _LETTER, _packaged_text
+from tamilstem.graphemes import _LETTER, _packaged_text, word
 from tamilstem.paradigm import default_roots
 
 SRC = os.path.dirname(os.path.dirname(tamilstem.__file__))
@@ -75,12 +76,33 @@ def _counting_letters():
 
 
 def test_the_library_engines_count_no_letters():
-    # Only the walk over text counts letters.
+    # A word's letters are never counted.  A `str` is walked as text and
+    # counts as `tamilstem stem` does in the CLI test below: only கைகள்,
+    # whose first code points do not settle `min_stem`, once per engine.
     with _counting_letters() as letters:
         for engine in (tamilstem.light_stem, tamilstem.strip_stem):
+            assert engine(word("மரங்கள்உக்கு")).stem.text == "மரம்"
+            assert engine(word("கைகள்")).stem.text == "கைகள்"
+        assert letters.findall.call_count == 0
+        for engine in (tamilstem.light_stem, tamilstem.strip_stem):
             assert engine("மரங்கள்உக்கு").stem.text == "மரம்"
+        assert letters.findall.call_count == 0
+        for count, engine in enumerate(
+            (tamilstem.light_stem, tamilstem.strip_stem), start=1
+        ):
             assert engine("கைகள்").stem.text == "கைகள்"
-    assert letters.findall.call_count == 0
+            assert letters.findall.call_count == count
+
+
+def test_a_str_result_splits_letters_once_on_first_read():
+    with mock.patch.object(graphemes, "_LETTER", wraps=_LETTER) as letters:
+        stem = tamilstem.light_stem("மரங்கள்உக்கு").stem
+        assert stem.text == "மரம்"
+        assert letters.findall.call_count == 0
+        assert stem.graphemes == ("ம", "ர", "ம்")
+        assert letters.findall.call_count == 1
+        assert stem.graphemes == ("ம", "ர", "ம்") and len(stem) == 3
+        assert letters.findall.call_count == 1
 
 
 def _run(argv, text):

@@ -19,6 +19,7 @@ from tamilstem.graphemes import (
     _JOINS,
     _LETTER,
     _NOT_FAST_NFC,
+    GraphemeWord,
     _joins_previous,
     normalize,
     segment,
@@ -710,6 +711,20 @@ _index_rule = st.tuples(
 )
 
 
+def _assert_same_result(got, expected):
+    """*got* equals *expected* field by field: the word, the stem and
+    each step's rule, before and after, each word by its letters and its
+    text."""
+    assert len(got.trace) == len(expected.trace)
+    words = [(got.word, expected.word), (got.stem, expected.stem)]
+    for step, want in zip(got.trace, expected.trace):
+        assert step.rule == want.rule
+        words += [(step.before, want.before), (step.after, want.after)]
+    for w, want in words:
+        assert (w.graphemes, w.text) == (want.graphemes, want.text)
+    assert got == expected
+
+
 @settings(max_examples=300, derandomize=True)
 @given(
     st.lists(_index_rule, max_size=10, unique_by=lambda r: r[:2]),
@@ -751,6 +766,7 @@ def test_suffix_index_agrees_with_brute_force(specs, data):
             assert (result.stem, steps) == _oracle_walk(
                 rs, w, ALL_CLASSES, chain
             )
+            _assert_same_result(engine(w.text, rs), result)
         assert _both(rs, w.text) == (
             strip_stem(w, rs).stem.text, light_stem(w, rs).stem.text
         )
@@ -818,6 +834,48 @@ def test_no_match_check_is_sound(rules_text, text, data):
     for masks in _MASKS:
         for token in (text, text + tail):
             assert _walk_text(rs, token, masks) == _walk(rs, token, masks).text
+
+
+def _letters_read(w):
+    """Whether *w* holds its letters: a word walked as text splits
+    them on first read."""
+    try:
+        GraphemeWord.graphemes.__get__(w)  # the slot, not __getattr__
+    except AttributeError:
+        return False
+    return True
+
+
+# Text outside the text walk's range besides `_piece`'s NFD Tamil pairs:
+# Latin with combining marks, and Hangul, as syllables and as jamo NFC
+# composes.
+_other_piece = st.sampled_from(
+    ["e\u0301", "a\u0308\u0323", "가", "각", "\u1100\u1161",
+     "\u1100\u1161\u11a8"]
+)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.lists(st.one_of(_piece, _other_piece), max_size=6).map("".join))
+def test_the_engines_give_a_str_the_result_of_its_word(text):
+    """Under the built-in rules, both engines give a `str` the result
+    they give its `word`.  Where `_NOT_FAST_NFC` finds nothing, the
+    text is walked as text and no word of the result has split its
+    letters yet; each splits them as `segment` of `normalize` does.
+    Each step's *after* is the next step's *before*, the same object,
+    so no text's letters are split twice."""
+    rs = builtin_rules()
+    fast = _NOT_FAST_NFC.search(text) is None
+    for engine in (light_stem, strip_stem):
+        result = engine(text, rs)
+        words = [result.word, *(step.after for step in result.trace)]
+        befores = [*(step.before for step in result.trace), result.stem]
+        assert all(w is before for w, before in zip(words, befores))
+        assert [_letters_read(w) for w in words] == [not fast] * len(words)
+        _assert_same_result(result, engine(word(text), rs))
+        for w in words:
+            assert w.graphemes == segment(normalize(w.text)).graphemes
+            assert type(w) is GraphemeWord
 
 
 @settings(max_examples=100, derandomize=True)

@@ -216,6 +216,10 @@ def _value_cases():
     return [
         (GraphemeWord, ("graphemes", "text"),
          tree, GraphemeWord(("ம", "ர", "ம்"), "மரம்"), trees),
+        # A stem walked as text, whose letters nothing has read yet.
+        (GraphemeWord, ("graphemes", "text"),
+         light_stem("மரங்கள்").stem, GraphemeWord(("ம", "ர", "ம்"), "மரம்"),
+         trees),
         (StemStep, ("rule", "before", "after"),
          step, StemStep(step.rule, trees, tree), tense.trace[0]),
         (StemResult, ("word", "stem", "trace"),
@@ -246,8 +250,8 @@ def _value_cases():
 @pytest.mark.parametrize(
     "cls,names,one,same,other",
     _value_cases(),
-    ids=["GraphemeWord", "StemStep", "StemResult", "SuffixRule", "GoldEntry",
-         "EvalRow", "EvalReport"],
+    ids=["GraphemeWord", "GraphemeWord-unread", "StemStep", "StemResult",
+         "SuffixRule", "GoldEntry", "EvalRow", "EvalReport"],
 )
 def test_value_classes_keep_frozen_dataclass_semantics(
     cls, names, one, same, other
@@ -270,3 +274,38 @@ def test_value_classes_keep_frozen_dataclass_semantics(
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(one, protocol)) == one
     assert copy.deepcopy(one) == one and copy.copy(one) == one
+
+
+def _unread_stem():
+    """The stem of a `str` walked as text, its letters not yet split."""
+    stem = light_stem("மரங்கள்").stem
+    with pytest.raises(AttributeError):
+        GraphemeWord.graphemes.__get__(stem)  # the slot, not __getattr__
+    return stem
+
+
+def test_an_unread_word_keeps_the_value_class_contract():
+    tree = word("மரம்")
+    for name in ("graphemes", "text", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(_unread_stem(), name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(_unread_stem(), name)
+    with pytest.raises(
+        AttributeError, match="^'GraphemeWord' object has no attribute 'extra'$"
+    ):
+        _unread_stem().extra
+    assert not hasattr(_unread_stem(), "__deepcopy__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(_unread_stem(), protocol)) == tree
+    assert copy.copy(_unread_stem()) == tree
+    assert copy.deepcopy(_unread_stem()) == tree
+    # Each a first read of the letters.
+    assert _unread_stem() == tree and tree == _unread_stem()
+    assert hash(_unread_stem()) == hash(tree)
+    assert repr(_unread_stem()) == repr(tree)
+    assert len(_unread_stem()) == len(tree)
+    # After it, the word is a plain GraphemeWord.
+    stem = _unread_stem()
+    assert stem.__class__ is GraphemeWord
+    assert stem.graphemes == tree.graphemes and type(stem) is GraphemeWord
