@@ -165,8 +165,9 @@ class GraphemeWord:
     `segment`, ``rules.apply_rule`` and the paradigm generator has.
 
     The words ``light_stem`` and ``strip_stem`` build for a `str` walked
-    as text hold only their text until *graphemes* is first read (see
-    `_TextWord`).
+    as text hold only their text until *graphemes* is first read.  Until
+    then ``type()`` gives the private `_TextWord`; ``isinstance`` and
+    ``__class__`` give `GraphemeWord` throughout.
     """
 
     graphemes: tuple[str, ...]
@@ -188,25 +189,27 @@ class _TextWord(GraphemeWord):
     """A `GraphemeWord` that holds only its NFC text until its letters
     are first read.  That read splits them as `word` does, fills the
     slot and makes the object a plain `GraphemeWord`; until then it
-    gives `GraphemeWord` as its ``__class__``, so it compares, hashes,
-    prints, pickles and copies as one.
+    gives `GraphemeWord` as its ``__class__`` and its name, so it
+    compares, hashes, prints, pickles, copies and fails an attribute
+    read as one.  Only ``type()`` tells it apart before that read:
+    ``isinstance(w, GraphemeWord)`` and ``w.__class__ is GraphemeWord``
+    hold for every word, ``type(w) is GraphemeWord`` only once read.
 
-    The hook is kept off `GraphemeWord`: CPython 3.11 specialises no
-    attribute read on a class with a ``__getattr__``, which slowed the
-    letter walk by a sixth and the paradigm generator by two fifths.
+    The hook is kept off `GraphemeWord`: a property or ``__getattr__``
+    there would slow every read of an eagerly built word's letters.
     """
 
     __slots__ = ()
     __class__ = property(lambda self: GraphemeWord)
 
-    def __getattr__(self, name):
-        # Called only where the usual lookup fails: for *graphemes*
-        # before its first read, or for an unknown name.  Two threads
-        # racing to a first read both store the same letters and class.
-        if name != "graphemes":
-            msg = f"'GraphemeWord' object has no attribute {name!r}"
-            raise AttributeError(msg, name=name, obj=self)
-        graphemes = word(self.text).graphemes
+    @property
+    def graphemes(self):
+        # Two threads racing to a first read store the same letters.
+        text = self.text
+        if _NOT_FAST_NFC.search(text) is None:
+            graphemes = tuple(_LETTER.findall(text))
+        else:  # only after a step that re-segments: still NFC
+            graphemes = segment(text).graphemes
         _set_graphemes(self, graphemes)
         _set_class(self, GraphemeWord)
         return graphemes
@@ -216,6 +219,9 @@ class _TextWord(GraphemeWord):
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_TextWord.__name__ = "GraphemeWord"  # the name attribute errors give
 
 
 def _text_word(text: str) -> GraphemeWord:

@@ -30,7 +30,7 @@ including non-Tamil input.
 from __future__ import annotations
 
 from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _record
-from .graphemes import _text_word, word
+from .graphemes import _text_word, normalize, segment, word
 from .rules import (
     ALL_CLASSES,
     RuleSet,
@@ -180,8 +180,10 @@ def strip_stem(
     """
     if rules is None:
         rules = builtin_rules()
-    if isinstance(text, str) and _NOT_FAST_NFC.search(text) is None:
-        return _text_result(rules, text, _STRIP)
+    if isinstance(text, str):
+        if _NOT_FAST_NFC.search(text) is None:
+            return _text_result(rules, text, _STRIP)
+        text = segment(normalize(text))  # as `word` would, searching once
     # Written out here and in light_stem: a shared helper would add a
     # call to every stem, a few per cent of a word's time.
     steps: list[StemStep] = []
@@ -226,8 +228,10 @@ def light_stem(
     """
     if rules is None:
         rules = builtin_rules()
-    if isinstance(text, str) and _NOT_FAST_NFC.search(text) is None:
-        return _text_result(rules, text, _LIGHT)
+    if isinstance(text, str):
+        if _NOT_FAST_NFC.search(text) is None:
+            return _text_result(rules, text, _LIGHT)
+        text = segment(normalize(text))  # as `word` would, searching once
     steps: list[StemStep] = []
     stem = _walk(rules, text, _LIGHT, steps)
     if not steps:  # no rule matches: the word is its own stem

@@ -95,14 +95,20 @@ def test_the_library_engines_count_no_letters():
 
 
 def test_a_str_result_splits_letters_once_on_first_read():
+    # Each word of the result splits its own text, once, when first read.
+    expected = hash(tamilstem.light_stem(word("மரங்கள்உக்கு")))
     with mock.patch.object(graphemes, "_LETTER", wraps=_LETTER) as letters:
-        stem = tamilstem.light_stem("மரங்கள்உக்கு").stem
+        result = tamilstem.light_stem("மரங்கள்உக்கு")
+        stem = result.stem
         assert stem.text == "மரம்"
         assert letters.findall.call_count == 0
         assert stem.graphemes == ("ம", "ர", "ம்")
         assert letters.findall.call_count == 1
         assert stem.graphemes == ("ம", "ர", "ம்") and len(stem) == 3
         assert letters.findall.call_count == 1
+        # The input and the step between: two more texts.
+        assert hash(result) == expected
+        assert letters.findall.call_count == 3
 
 
 def _run(argv, text):

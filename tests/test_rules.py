@@ -716,6 +716,10 @@ def _assert_same_result(got, expected):
     each step's rule, before and after, each word by its letters and its
     text."""
     assert len(got.trace) == len(expected.trace)
+    # Each step starts from the word the last one made, the same object.
+    afters = [got.word, *(step.after for step in got.trace)]
+    befores = [*(step.before for step in got.trace), got.stem]
+    assert all(a is b for a, b in zip(afters, befores))
     words = [(got.word, expected.word), (got.stem, expected.stem)]
     for step, want in zip(got.trace, expected.trace):
         assert step.rule == want.rule
@@ -837,13 +841,9 @@ def test_no_match_check_is_sound(rules_text, text, data):
 
 
 def _letters_read(w):
-    """Whether *w* holds its letters: a word walked as text splits
-    them on first read."""
-    try:
-        GraphemeWord.graphemes.__get__(w)  # the slot, not __getattr__
-    except AttributeError:
-        return False
-    return True
+    """Whether *w* holds its letters: a word walked as text gets them on
+    first read, and only then is its type `GraphemeWord`."""
+    return type(w) is GraphemeWord
 
 
 # Text outside the text walk's range besides `_piece`'s NFD Tamil pairs:

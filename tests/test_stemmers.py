@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 import unicodedata
 
 from fractions import Fraction
@@ -279,13 +281,16 @@ def test_value_classes_keep_frozen_dataclass_semantics(
 def _unread_stem():
     """The stem of a `str` walked as text, its letters not yet split."""
     stem = light_stem("மரங்கள்").stem
-    with pytest.raises(AttributeError):
-        GraphemeWord.graphemes.__get__(stem)  # the slot, not __getattr__
+    assert type(stem) is not GraphemeWord
     return stem
 
 
 def test_an_unread_word_keeps_the_value_class_contract():
     tree = word("மரம்")
+    # Before the first read only type() tells it from an eager word.
+    stem = _unread_stem()
+    assert isinstance(stem, GraphemeWord) and stem.__class__ is GraphemeWord
+    assert type(stem) is not GraphemeWord and stem.text == "மரம்"
     for name in ("graphemes", "text", "extra"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(_unread_stem(), name, ())
@@ -309,3 +314,29 @@ def test_an_unread_word_keeps_the_value_class_contract():
     stem = _unread_stem()
     assert stem.__class__ is GraphemeWord
     assert stem.graphemes == tree.graphemes and type(stem) is GraphemeWord
+
+
+def test_first_reads_that_race_agree():
+    # Four threads read the letters of the same unread words at once;
+    # a short switch interval lets them interleave inside a first read.
+    texts = [s for s, _ in STRIP_CASES + LIGHT_CASES]
+    results = [engine(t) for t in texts * 40 for engine in ENGINES.values()]
+    expected = [engine(word(t)) for t in texts * 40 for engine in ENGINES.values()]
+    mismatches = []
+
+    def read():
+        mismatches.extend(r for r, e in zip(results, expected) if r != e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert all(type(r.stem) is GraphemeWord for r in results)
