@@ -180,48 +180,64 @@ class GraphemeWord:
         return self.text
 
 
-_set_graphemes = GraphemeWord.graphemes.__set__
 _set_text = GraphemeWord.text.__set__
 _set_class = object.__dict__["__class__"].__set__
 
 
-class _TextWord(GraphemeWord):
-    """A `GraphemeWord` that holds only its NFC text until its letters
-    are first read.  That read splits them as `word` does, fills the
-    slot and makes the object a plain `GraphemeWord`; until then it
-    gives `GraphemeWord` as its ``__class__`` and its name, so it
-    compares, hashes, prints, pickles, copies and fails an attribute
-    read as one.  Only ``type()`` tells it apart before that read:
-    ``isinstance(w, GraphemeWord)`` and ``w.__class__ is GraphemeWord``
-    hold for every word, ``type(w) is GraphemeWord`` only once read.
+def _deferred(qualname, cls, name, fill):
+    """A private subclass of the `_record` class *cls* whose field *name*
+    is filled on first read.
 
-    The hook is kept off `GraphemeWord`: a property or ``__getattr__``
-    there would slow every read of an eagerly built word's letters.
+    Its instances are built without that field, or with a stand-in in
+    its slot.  The first read of *name* stores ``fill(obj)`` in the slot
+    and makes the object a plain *cls*.  Until then it gives *cls* as its
+    ``__class__`` and its name, so it compares, hashes, prints, pickles,
+    copies, refuses assignment and fails an attribute read as one; only
+    ``type()`` tells it apart.  The hook is a property here, not on
+    *cls*, where it would slow every read of the field.
+
+    Threads racing to a first read may each call *fill* and store what it
+    gives, so it must give equal values; a *fill* that reads a stand-in
+    from the slot must return what it finds there once a racing read has
+    stored the value.
     """
+    set_field = getattr(cls, name).__set__
 
-    __slots__ = ()
-    __class__ = property(lambda self: GraphemeWord)
+    def first_read(self):
+        value = fill(self)
+        set_field(self, value)
+        _set_class(self, cls)
+        return value
 
-    @property
-    def graphemes(self):
-        # Two threads racing to a first read store the same letters.
-        text = self.text
-        if _NOT_FAST_NFC.search(text) is None:
-            graphemes = tuple(_LETTER.findall(text))
-        else:  # only after a step that re-segments: still NFC
-            graphemes = segment(text).graphemes
-        _set_graphemes(self, graphemes)
-        _set_class(self, GraphemeWord)
-        return graphemes
+    def __setattr__(self, field, value):
+        raise FrozenInstanceError(f"cannot assign to field {field!r}")
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    def __delattr__(self, field):
+        raise FrozenInstanceError(f"cannot delete field {field!r}")
 
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    return type(cls)(cls.__name__, (cls,), {
+        "__slots__": (),
+        "__module__": cls.__module__,
+        "__qualname__": qualname,
+        "__class__": property(lambda self: cls),
+        name: property(first_read),
+        "__setattr__": __setattr__,
+        "__delattr__": __delattr__,
+    })
 
 
-_TextWord.__name__ = "GraphemeWord"  # the name attribute errors give
+def _split_text(w):
+    """The letters of a `_TextWord`, split from its NFC text as `word`
+    splits it."""
+    text = w.text
+    if _NOT_FAST_NFC.search(text) is None:
+        return tuple(_LETTER.findall(text))
+    return segment(text).graphemes  # only after a step that re-segments
+
+
+# A `GraphemeWord` that holds only its NFC text until its letters are
+# first read.
+_TextWord = _deferred("_TextWord", GraphemeWord, "graphemes", _split_text)
 
 
 def _text_word(text: str) -> GraphemeWord:

@@ -17,20 +17,21 @@ follow the rule's ``next_classes``.  ``_walk`` walks a word's letters.
 ``_walk_text`` walks text in which `_NOT_FAST_NFC` finds nothing, and
 hands over to ``_walk`` where the text or a step must be segmented.
 ``strip_stem`` and ``light_stem`` walk the letters of a `GraphemeWord`
-or of other text, and walk a `str` in that range as text: the words of
-its `StemResult` then hold only their text, and split their letters
-when a caller first reads them.  A caller that needs only the stem's
-text, such as ``tamilstem stem`` and ``_both`` (the strip and light
-stems that ``tamilstem eval`` and ``compare`` score), walks text too
-and builds no `StemResult`.  A walk records its steps only for a
-caller that passes it a list.  All leave unmatched words untouched,
-including non-Tamil input.
+or of other text, and walk a `str` in that range as text: its
+`StemResult` then builds its trace when a caller first reads it, and
+its words hold only their text until a caller first reads their
+letters.  A caller that needs only the stem's text, such as
+``tamilstem stem`` and ``_both`` (the strip and light stems that
+``tamilstem eval`` and ``compare`` score), walks text too and builds no
+`StemResult`.  A walk records its steps only for a caller that passes
+it a list.  All leave unmatched words untouched, including non-Tamil
+input.
 """
 
 from __future__ import annotations
 
-from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _record
-from .graphemes import _text_word, normalize, segment, word
+from .graphemes import _NOT_FAST_NFC, GraphemeWord, _as_word, _deferred
+from .graphemes import _record, _text_word, normalize, segment, word
 from .rules import (
     ALL_CLASSES,
     RuleSet,
@@ -69,7 +70,13 @@ class StemStep:
 
 @_record
 class StemResult:
-    """Final stem plus the ordered trace of rule applications."""
+    """Final stem plus the ordered trace of rule applications.
+
+    The results ``light_stem`` and ``strip_stem`` give a `str` walked as
+    text build their trace when *trace* is first read, if a rule
+    matched.  Until then ``type()`` gives the private `_TextResult`;
+    ``isinstance`` and ``__class__`` give `StemResult` throughout.
+    """
 
     word: GraphemeWord
     stem: GraphemeWord
@@ -149,22 +156,48 @@ def _walk_text(
     return stem.text
 
 
+_get_trace = StemResult.trace.__get__
+
+
+def _trace_of(result):
+    """The trace of a `_TextResult`, from the ``(rule, text after the
+    step)`` pairs its slot holds.  The first step starts from
+    ``result.word`` and the last ends at ``result.stem``, the same
+    objects; the words between hold only their text, each step's *after*
+    being the next step's *before*."""
+    steps = _get_trace(result)
+    if steps.__class__ is tuple:  # a racing first read stored it
+        return steps
+    before = result.word
+    if len(steps) == 1:  # most words a rule matches take one step
+        return (StemStep(steps[0][0], before, result.stem),)
+    trace = []
+    for rule, text in steps[:-1]:
+        after = _text_word(text)
+        trace.append(StemStep(rule, before, after))
+        before = after
+    trace.append(StemStep(steps[-1][0], before, result.stem))
+    return tuple(trace)
+
+
+# A `StemResult` whose trace slot holds the text walk's (rule, text)
+# pairs until its trace is first read.
+_TextResult = _deferred("_TextResult", StemResult, "trace", _trace_of)
+
+
 def _text_result(
     rules: RuleSet, text: str, masks: tuple[int, int | None]
 ) -> StemResult:
     """The `StemResult` of ``_walk(rules, text, masks)`` for *text* in
     which `_NOT_FAST_NFC` finds nothing, from ``_walk_text``.  Its words
-    hold only their text; each step's *after* is the next step's
-    *before*, so no text's letters are split more than once."""
+    hold only their text, and where a rule matched, its trace is built
+    when first read."""
     steps: list[tuple[SuffixRule, str]] = []
-    _walk_text(rules, text, masks, steps, True)
-    before = first = _text_word(text)
-    trace = []
-    for rule, after_text in steps:
-        after = _text_word(after_text)
-        trace.append(StemStep(rule, before, after))
-        before = after
-    return StemResult(first, before, tuple(trace))
+    stem = _walk_text(rules, text, masks, steps, True)
+    w = _text_word(text)
+    if not steps:  # no rule matches: the word is its own stem
+        return StemResult(w, w, ())
+    return _TextResult(w, _text_word(stem), steps)
 
 
 def strip_stem(
@@ -176,7 +209,8 @@ def strip_stem(
     minimum stem length.
 
     A `str` that `_NOT_FAST_NFC` finds nothing in is walked as text; the
-    result's words split their letters when first read.
+    result's trace is built, and its words split their letters, when
+    first read.
     """
     if rules is None:
         rules = builtin_rules()
@@ -224,7 +258,8 @@ def light_stem(
     ``next_classes`` marks a terminal layer and ends the loop.
 
     A `str` that `_NOT_FAST_NFC` finds nothing in is walked as text; the
-    result's words split their letters when first read.
+    result's trace is built, and its words split their letters, when
+    first read.
     """
     if rules is None:
         rules = builtin_rules()

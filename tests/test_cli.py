@@ -764,9 +764,11 @@ def test_plain_stem_segments_no_fast_token(monkeypatch):
 
 
 def _count_trace_objects(monkeypatch):
-    """Count the `StemStep`s and `StemResult`s the walks build."""
+    """Count the `StemStep`s and `StemResult`s the walks build, a
+    result whose trace is built on first read among them."""
     built = collections.Counter()
-    for cls in (stemmers.StemStep, stemmers.StemResult):
+    for attr in ("StemStep", "StemResult", "_TextResult"):
+        cls = getattr(stemmers, attr)
 
         class Counting(cls):
             __slots__ = ()
@@ -775,7 +777,7 @@ def _count_trace_objects(monkeypatch):
                 built[name] += 1
                 super().__init__(*fields)
 
-        monkeypatch.setattr(stemmers, cls.__name__, Counting)
+        monkeypatch.setattr(stemmers, attr, Counting)
     return built
 
 
@@ -805,8 +807,17 @@ def test_untraced_stem_and_letter_walks_build_no_trace(monkeypatch):
     assert (code, out) == (EX_OK, traced)
     assert "\n# " in traced and not built
     # The counting classes do see what the letter walks build.
-    tamilstem.light_stem("மரங்கள்")
+    tamilstem.light_stem(graphemes.word("மரங்கள்"))
     assert built == {"StemStep": 1, "StemResult": 1}
+    # A `str` walked as text builds its result's step on the first read
+    # of the trace, and only then.
+    result = tamilstem.light_stem("மரங்கள்")
+    assert result.stem.text == "மரம்"
+    assert built == {"StemStep": 1, "StemResult": 2}
+    (step,) = result.trace
+    assert built == {"StemStep": 2, "StemResult": 2}
+    assert result.trace[0] is step
+    assert built == {"StemStep": 2, "StemResult": 2}
 
 
 def test_compare_builds_no_stem_result(monkeypatch):

@@ -44,6 +44,7 @@ from tamilstem.rules import (
     render_rules,
 )
 from tamilstem.stemmers import (
+    StemResult,
     _ALL,
     _LIGHT,
     _STRIP,
@@ -860,19 +861,22 @@ _other_piece = st.sampled_from(
 def test_the_engines_give_a_str_the_result_of_its_word(text):
     """Under the built-in rules, both engines give a `str` the result
     they give its `word`.  Where `_NOT_FAST_NFC` finds nothing, the
-    text is walked as text and no word of the result has split its
-    letters yet; each splits them as `segment` of `normalize` does.
-    Each step's *after* is the next step's *before*, the same object,
-    so no text's letters are split twice."""
+    text is walked as text, the result's trace is built when first
+    read, and no word of the result has split its letters yet; each
+    splits them as `segment` of `normalize` does.  Each step's *after*
+    is the next step's *before*, the same object, so no text's letters
+    are split twice."""
     rs = builtin_rules()
     fast = _NOT_FAST_NFC.search(text) is None
     for engine in (light_stem, strip_stem):
-        result = engine(text, rs)
+        result, expected = engine(text, rs), engine(word(text), rs)
+        # A fast result with steps builds them on the first read.
+        assert (type(result) is StemResult) == (not fast or not expected.trace)
         words = [result.word, *(step.after for step in result.trace)]
         befores = [*(step.before for step in result.trace), result.stem]
         assert all(w is before for w, before in zip(words, befores))
         assert [_letters_read(w) for w in words] == [not fast] * len(words)
-        _assert_same_result(result, engine(word(text), rs))
+        _assert_same_result(result, expected)
         for w in words:
             assert w.graphemes == segment(normalize(w.text)).graphemes
             assert type(w) is GraphemeWord

@@ -226,6 +226,10 @@ def _value_cases():
          step, StemStep(step.rule, trees, tree), tense.trace[0]),
         (StemResult, ("word", "stem", "trace"),
          plural, StemResult(trees, tree, (step,)), tense),
+        # A result of a `str` walked as text, whose trace nothing has
+        # read yet.
+        (StemResult, ("word", "stem", "trace"),
+         light_stem("மரங்கள்"), StemResult(trees, tree, (step,)), tense),
         (SuffixRule,
          ("klass", "pattern", "replacement", "min_stem", "next_classes",
           "order"),
@@ -253,7 +257,8 @@ def _value_cases():
     "cls,names,one,same,other",
     _value_cases(),
     ids=["GraphemeWord", "GraphemeWord-unread", "StemStep", "StemResult",
-         "SuffixRule", "GoldEntry", "EvalRow", "EvalReport"],
+         "StemResult-unread", "SuffixRule", "GoldEntry", "EvalRow",
+         "EvalReport"],
 )
 def test_value_classes_keep_frozen_dataclass_semantics(
     cls, names, one, same, other
@@ -316,6 +321,56 @@ def test_an_unread_word_keeps_the_value_class_contract():
     assert stem.graphemes == tree.graphemes and type(stem) is GraphemeWord
 
 
+def _unread_result():
+    """The result of a `str` walked as text, its trace not yet built."""
+    result = light_stem("மரங்கள்")
+    assert type(result) is not StemResult
+    return result
+
+
+def test_an_unread_result_keeps_the_value_class_contract():
+    trees = light_stem(word("மரங்கள்"))
+    # Before the first read only type() tells it from an eager result.
+    result = _unread_result()
+    assert isinstance(result, StemResult) and result.__class__ is StemResult
+    assert result.stem.text == "மரம்" and type(result) is not StemResult
+    for name in ("word", "stem", "trace", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(_unread_result(), name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(_unread_result(), name)
+    with pytest.raises(
+        AttributeError, match="^'StemResult' object has no attribute 'extra'$"
+    ):
+        _unread_result().extra
+    assert not hasattr(_unread_result(), "__deepcopy__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(_unread_result(), protocol)) == trees
+    assert copy.copy(_unread_result()) == trees
+    assert copy.deepcopy(_unread_result()) == trees
+    # Each a first read of the trace.
+    assert _unread_result() == trees and trees == _unread_result()
+    assert hash(_unread_result()) == hash(trees)
+    assert repr(_unread_result()) == repr(trees)
+    # After it, the result is a plain StemResult whose steps start from
+    # its word and end at its stem, the same objects.
+    result = _unread_result()
+    (step,) = result.trace
+    assert type(result) is StemResult and result.trace == trees.trace
+    assert step.before is result.word and step.after is result.stem
+
+
+def test_a_first_read_that_finds_the_trace_built_returns_it():
+    # A thread that starts a first read while another finishes one finds
+    # the built trace in the slot, and keeps it.
+    for text in ("மரங்கள்", "மரங்கள்உக்கு"):
+        result = light_stem(text)
+        first_read = type(result).trace.fget
+        trace = result.trace
+        assert first_read(result) is trace and result.trace is trace
+        assert type(result) is StemResult
+
+
 def test_first_reads_that_race_agree():
     # Four threads read the letters of the same unread words at once;
     # a short switch interval lets them interleave inside a first read.
@@ -325,7 +380,14 @@ def test_first_reads_that_race_agree():
     mismatches = []
 
     def read():
-        mismatches.extend(r for r, e in zip(results, expected) if r != e)
+        for r, e in zip(results, expected):
+            trace = r.trace
+            ends = [r.word, r.stem] if trace else []
+            steps = [trace[0].before, trace[-1].after] if trace else []
+            if trace != e.trace or any(
+                a is not b for a, b in zip(steps, ends)
+            ) or r != e:
+                mismatches.append(r)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -340,3 +402,4 @@ def test_first_reads_that_race_agree():
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
     assert all(type(r.stem) is GraphemeWord for r in results)
+    assert all(type(r) is StemResult for r in results)
